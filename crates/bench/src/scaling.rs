@@ -34,7 +34,7 @@ use parcomm_coll::{pallreduce_init, pallreduce_init_hierarchical};
 use parcomm_gpu::KernelSpec;
 use parcomm_mpi::{MpiWorld, WorldConfig};
 use parcomm_net::ClusterSpec;
-use parcomm_sim::Simulation;
+use parcomm_sim::{SimReport, Simulation};
 use parcomm_sweep::SweepSpec;
 use parcomm_testkit::digest;
 
@@ -118,6 +118,17 @@ pub fn allreduce_cell(nodes: u16, hierarchical: bool, chunk_elems: usize) -> (f6
 /// oversubscribed `--topology` specs run the same verified, digested
 /// epoch pair; the uniform spec is bit-identical to the classic cell.
 pub fn allreduce_cell_on(cluster: ClusterSpec, hierarchical: bool, chunk_elems: usize) -> (f64, u64) {
+    let (us, digest, _) = allreduce_cell_report(cluster, hierarchical, chunk_elems);
+    (us, digest)
+}
+
+/// [`allreduce_cell_on`], also returning the run's [`SimReport`] (the
+/// scheduler counts are not part of the digest).
+pub fn allreduce_cell_report(
+    cluster: ClusterSpec,
+    hierarchical: bool,
+    chunk_elems: usize,
+) -> (f64, u64, SimReport) {
     let nodes = cluster.nodes;
     let mut sim = Simulation::with_seed(SCALING_SEED);
     let trace = sim.trace();
@@ -174,7 +185,7 @@ pub fn allreduce_cell_on(cluster: ClusterSpec, hierarchical: bool, chunk_elems: 
     let mut d = digest::Digest::new();
     d.write_u64(digest::run_digest(&report, &trace));
     d.write_f64_slice(&vals);
-    (us, d.finish())
+    (us, d.finish(), report)
 }
 
 /// Run the scaling grid with the shared thread-count policy.

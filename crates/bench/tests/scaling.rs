@@ -4,7 +4,8 @@
 //! digests change only when the stack's event stream changes, in which
 //! case the new values must be reviewed and re-frozen deliberately.
 
-use parcomm_bench::scaling::allreduce_cell;
+use parcomm_bench::scaling::{allreduce_cell, allreduce_cell_report};
+use parcomm_net::ClusterSpec;
 
 /// Quick-mode chunk size (`run_scaling_threaded(_, quick=true, _)`).
 const QUICK_CHUNK: usize = 256;
@@ -41,4 +42,14 @@ fn four_node_hierarchical_beats_flat_and_digests_are_frozen() {
         hier_us < flat_us,
         "hierarchical ({hier_us} µs) must beat flat ({flat_us} µs) at 4 nodes"
     );
+}
+
+#[test]
+fn scaling_cell_scheduler_counts_are_consistent() {
+    let (_, _, r) = allreduce_cell_report(ClusterSpec::gh200(2), true, QUICK_CHUNK);
+    // Every popped item is a resume that ran, a callback or a stale wake;
+    // only a resume can switch threads, and the first one is not counted.
+    assert_eq!(r.events_processed, r.resumes + r.callbacks + r.stale_wakes);
+    assert!(r.handoffs <= r.resumes, "{} handoffs > {} resumes", r.handoffs, r.resumes);
+    assert!(r.handoffs > 0, "a 16-rank cell must switch between processes");
 }

@@ -168,11 +168,15 @@ pub fn prequest_create(
     // Recovery: let a blocking wait drain this queue from host context when
     // the progression engine's lease expires. The queue pop is the
     // exactly-once point, so a false-positive takeover (stalled-not-dead PE)
-    // is harmless.
-    let drain = dp.clone();
+    // is harmless. The hook holds the request weakly: the send channel
+    // owns the hook and the request owns the channel, so a strong capture
+    // would keep both (and the whole simulation) alive until `free`.
+    let drain = Arc::downgrade(&dp.inner);
     *dp.inner.send.device_drain.lock() =
         Some(Box::new(move |ctx: &mut Ctx| {
-            let _ = drain.drain_notifications(ctx);
+            if let Some(inner) = drain.upgrade() {
+                let _ = DevicePrequest { inner }.drain_notifications(ctx);
+            }
         }));
     Ok(dp)
 }
@@ -183,7 +187,7 @@ impl DevicePrequest {
     /// the pinned mapping.)
     pub fn free(self, ctx: &mut Ctx) {
         ctx.advance(SimDuration::from_micros_f64(5.0));
-        // Break the drain-hook reference cycle through the send channel.
+        // Unregister the host-drain hook from the send channel.
         *self.inner.send.device_drain.lock() = None;
         drop(self);
     }
@@ -595,5 +599,56 @@ impl std::fmt::Debug for DevicePrequest {
             .field("agg", &self.inner.config.agg)
             .field("transports", &self.inner.config.transport_partitions)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Weak;
+
+    use parcomm_gpu::KernelSpec;
+    use parcomm_mpi::MpiWorld;
+    use parcomm_sim::Simulation;
+
+    use super::*;
+    use crate::{precv_init, psend_init};
+
+    /// A device request whose handles are all dropped without
+    /// `MPIX_Prequest_free` must be released with its send channel: the
+    /// channel's host-drain hook holds the request only weakly.
+    #[test]
+    fn unfreed_prequest_is_released_with_its_channel() {
+        let mut sim = Simulation::with_seed(1);
+        let world = MpiWorld::gh200(&sim, 1);
+        let weak = Arc::new(Mutex::new(Weak::<DpInner>::new()));
+        let w2 = weak.clone();
+        world.run_ranks(&mut sim, move |ctx, rank| {
+            let buf = rank.gpu().alloc_global(4096);
+            match rank.rank() {
+                0 => {
+                    let sreq = psend_init(ctx, rank, 1, 7, &buf, 4).expect("init");
+                    sreq.start(ctx).expect("start");
+                    sreq.pbuf_prepare(ctx).expect("pbuf_prepare");
+                    let preq =
+                        prequest_create(ctx, rank, &sreq, PrequestConfig::default()).expect("create");
+                    *w2.lock() = Arc::downgrade(&preq.inner);
+                    let p2 = preq.clone();
+                    rank.gpu()
+                        .create_stream()
+                        .launch(ctx, KernelSpec::vector_add(1, 32), move |d| p2.pready_all(d));
+                    sreq.wait(ctx).expect("wait");
+                }
+                1 => {
+                    let rreq = precv_init(ctx, rank, 0, 7, &buf, 4).expect("init");
+                    rreq.start(ctx).expect("start");
+                    rreq.pbuf_prepare(ctx).expect("pbuf_prepare");
+                    rreq.wait(ctx).expect("wait");
+                }
+                _ => {}
+            }
+        });
+        sim.run().expect("sim");
+        drop(world);
+        assert!(weak.lock().upgrade().is_none(), "unfreed device request leaked");
     }
 }

@@ -7,10 +7,12 @@
 //! - **simulation processes**: blocking-style user code, each process on its
 //!   own OS thread, with exactly one runnable at a time (SimGrid-style
 //!   cooperative scheduling) — so `MPI_Wait` can be written as an ordinary
-//!   blocking call;
+//!   blocking call. The running process carries the event loop with it and
+//!   hands it straight to the next process: one thread switch per
+//!   cross-process resume, none when a process resumes itself;
 //! - **scheduled callbacks** for fine-grained hardware events (DMA
-//!   completions, flag writes) that run on the scheduler thread without
-//!   thread-switch cost;
+//!   completions, flag writes) that run inline on whichever thread holds
+//!   the event loop, without thread-switch cost;
 //! - wake-up primitives: [`Event`], [`CountEvent`], [`SimChannel`],
 //!   [`Semaphore`], [`SimBarrier`];
 //! - deterministic seeded randomness ([`SimRng`]) for timing jitter;

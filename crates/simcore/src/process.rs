@@ -6,33 +6,32 @@
 
 use std::sync::Arc;
 
-use std::sync::mpsc::Receiver;
-
 use crate::event::Event;
 use crate::rng::SimRng;
-use crate::sched::{self, ProcessId, SchedCore, SimHandle, SpawnHandle, YieldMsg};
+use crate::sched::{self, Baton, ProcessId, SchedCore, SimHandle, Slot, SpawnHandle, Wake};
 use crate::time::{SimDuration, SimTime};
 
-/// Sentinel panic message used to unwind process threads when the simulation
-/// is torn down before they run again (only possible after `run` returned).
+/// Sentinel panic payload used to unwind a parked process thread when its
+/// simulation ends without it (a failed run, or a simulation dropped
+/// unrun).
 pub(crate) const TEARDOWN_MSG: &str = "__parcomm_sim_teardown__";
 
 /// Per-process execution context.
 ///
-/// Not `Clone` and not `Send`-shareable: it owns the process's resume channel.
+/// Not `Clone` and not `Send`-shareable: it owns the process's wake slot.
 /// To give long-lived model objects access to the simulation, use
 /// [`Ctx::handle`].
 pub struct Ctx {
     pid: ProcessId,
     core: Arc<SchedCore>,
-    resume_rx: Receiver<()>,
+    wake: Arc<Slot<Wake>>,
     handle: SimHandle,
 }
 
 impl Ctx {
-    pub(crate) fn new(pid: ProcessId, core: Arc<SchedCore>, resume_rx: Receiver<()>) -> Self {
+    pub(crate) fn new(pid: ProcessId, core: Arc<SchedCore>, wake: Arc<Slot<Wake>>) -> Self {
         let handle = SimHandle { core: core.clone() };
-        Ctx { pid, core, resume_rx, handle }
+        Ctx { pid, core, wake, handle }
     }
 
     /// This process's id.
@@ -62,12 +61,7 @@ impl Ctx {
     /// `advance(SimDuration::ZERO)` yields to other same-instant work
     /// (FIFO order among equal timestamps).
     pub fn advance(&mut self, dt: SimDuration) {
-        let epoch = sched::park_and_bump(&self.core, self.pid);
-        let at = self.now() + dt;
-        self.core
-            .yield_tx
-            .send(YieldMsg::AdvanceTo { pid: self.pid, at, epoch })
-            .expect("scheduler gone");
+        sched::park_for(&self.core, self.pid, dt);
         self.park();
     }
 
@@ -97,10 +91,6 @@ impl Ctx {
                 // scheduling an immediate resume for our epoch.
                 sched::schedule_resume(&self.core, self.now(), self.pid, epoch);
             }
-            self.core
-                .yield_tx
-                .send(YieldMsg::Blocked { pid: self.pid })
-                .expect("scheduler gone");
             self.park();
         }
     }
@@ -126,10 +116,6 @@ impl Ctx {
             // Timed backstop at the deadline; cancelled below if the event
             // wins, so it can never stretch the simulation's end time.
             let backstop = sched::schedule_resume(&self.core, deadline, self.pid, epoch);
-            self.core
-                .yield_tx
-                .send(YieldMsg::Blocked { pid: self.pid })
-                .expect("scheduler gone");
             self.park();
             sched::cancel_queued(&self.core, backstop);
         }
@@ -154,10 +140,6 @@ impl Ctx {
             if !counter.register_waiter(threshold, self.pid, epoch) {
                 sched::schedule_resume(&self.core, self.now(), self.pid, epoch);
             }
-            self.core
-                .yield_tx
-                .send(YieldMsg::Blocked { pid: self.pid })
-                .expect("scheduler gone");
             self.park();
         }
     }
@@ -190,10 +172,6 @@ impl Ctx {
             // Timed backstop at the deadline; cancelled below if the counter
             // wins, so it can never stretch the simulation's end time.
             let backstop = sched::schedule_resume(&self.core, deadline, self.pid, epoch);
-            self.core
-                .yield_tx
-                .send(YieldMsg::Blocked { pid: self.pid })
-                .expect("scheduler gone");
             self.park();
             sched::cancel_queued(&self.core, backstop);
         }
@@ -233,12 +211,14 @@ impl Ctx {
         self.handle.jitter_us(mean, sd)
     }
 
-    /// Park the calling thread until the scheduler resumes us.
+    /// Yield the baton (this process is parked: its resume is queued or its
+    /// waiter registered) and return once this process is resumed.
     fn park(&mut self) {
-        if self.resume_rx.recv().is_err() {
-            // Simulation dropped while we were parked (only after run()
-            // returned, e.g. a leaked daemon). Unwind quietly.
-            std::panic::panic_any(TEARDOWN_MSG.to_string());
+        if let Baton::Passed = sched::yield_baton(&self.handle, self.pid) {
+            if let Wake::Teardown = self.wake.take() {
+                // The run ended without us. Unwind quietly: no panic hook.
+                std::panic::resume_unwind(Box::new(TEARDOWN_MSG.to_string()));
+            }
         }
     }
 

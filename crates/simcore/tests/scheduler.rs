@@ -466,3 +466,158 @@ fn many_processes_scale() {
     sim.run().unwrap();
     assert_eq!(sum.load(Ordering::Relaxed), 64);
 }
+
+#[test]
+fn lone_process_never_hands_off() {
+    let mut sim = Simulation::with_seed(1);
+    sim.spawn("p", move |ctx| {
+        for _ in 0..25 {
+            ctx.advance(us(1));
+        }
+    });
+    let report = sim.run().unwrap();
+    // The first resume starts the baton; every later one is the process
+    // popping its own resume, with no thread switch.
+    assert_eq!(report.resumes, 26);
+    assert_eq!(report.handoffs, 0);
+    assert_eq!(report.events_processed, report.resumes + report.callbacks + report.stale_wakes);
+}
+
+#[test]
+fn ping_pong_hands_off_once_per_cross_process_resume() {
+    let mut sim = Simulation::with_seed(1);
+    let ran = Arc::new(Mutex::new(Vec::new()));
+    let ping = SimChannel::<u64>::new();
+    let pong = SimChannel::<u64>::new();
+    {
+        let (ran, ping, pong) = (ran.clone(), ping.clone(), pong.clone());
+        sim.spawn("ping", move |ctx| {
+            ran.lock().push(0);
+            for i in 0..10 {
+                ping.send(&ctx.handle(), i);
+                ctx.advance(us(1));
+                ran.lock().push(0);
+                assert_eq!(pong.recv(ctx), i);
+                ran.lock().push(0);
+            }
+        });
+    }
+    {
+        let ran = ran.clone();
+        sim.spawn("pong", move |ctx| {
+            ran.lock().push(1);
+            for _ in 0..10 {
+                let v = ping.recv(ctx);
+                ran.lock().push(1);
+                ctx.advance(us(2));
+                ran.lock().push(1);
+                pong.send(&ctx.handle(), v);
+            }
+        });
+    }
+    let report = sim.run().unwrap();
+    // `ran` logs which process is running after every resume; a change of
+    // process is exactly one cross-process resume.
+    let ran = ran.lock();
+    let switches = ran.windows(2).filter(|w| w[0] != w[1]).count() as u64;
+    assert!(switches >= 20, "ping-pong must switch processes ({switches})");
+    assert_eq!(report.handoffs, switches);
+    assert!(report.handoffs < report.resumes);
+}
+
+#[test]
+fn failed_runs_tear_down_parked_threads() {
+    // Deadlock: the blocked process's thread must unwind and be joined,
+    // dropping its closure, before run() returns.
+    let held = Arc::new(0u8);
+    let mut sim = Simulation::with_seed(1);
+    let never = Event::named("never");
+    let h = held.clone();
+    sim.spawn("stuck", move |ctx| {
+        let _keep = h;
+        ctx.wait(&never);
+    });
+    assert!(matches!(sim.run(), Err(SimError::Deadlock { .. })));
+    assert_eq!(Arc::strong_count(&held), 1);
+
+    // Panic: a sibling still parked on a timed wake is torn down too.
+    let mut sim = Simulation::with_seed(1);
+    let h = held.clone();
+    sim.spawn("sleeper", move |ctx| {
+        let _keep = h;
+        ctx.advance(us(100));
+    });
+    sim.spawn("boom", |ctx| {
+        ctx.advance(us(1));
+        panic!("boom");
+    });
+    assert!(matches!(sim.run(), Err(SimError::ProcessPanic { .. })));
+    assert_eq!(Arc::strong_count(&held), 1);
+
+    // Never run at all: dropping the simulation releases its threads.
+    let mut sim = Simulation::with_seed(1);
+    let h = held.clone();
+    sim.spawn("unrun", move |_ctx| drop(h));
+    drop(sim);
+    assert_eq!(Arc::strong_count(&held), 1);
+}
+
+#[test]
+fn daemons_are_released_in_pid_order() {
+    let mut sim = Simulation::with_seed(1);
+    let order = Arc::new(Mutex::new(Vec::new()));
+    let never = Event::new();
+    for i in 0..16u64 {
+        let (order, never) = (order.clone(), never.clone());
+        sim.spawn_daemon(format!("d{i}"), move |ctx| {
+            ctx.wait(&never);
+            order.lock().push(i);
+        });
+    }
+    sim.spawn("worker", move |ctx| ctx.advance(us(1)));
+    sim.run().unwrap();
+    assert_eq!(*order.lock(), (0..16).collect::<Vec<_>>());
+}
+
+#[test]
+#[should_panic(expected = "callback boom")]
+fn callback_panic_is_reraised_by_run() {
+    let mut sim = Simulation::with_seed(1);
+    sim.spawn("p", |ctx| {
+        ctx.handle().schedule_in(us(1), |_| panic!("callback boom"));
+        ctx.advance(us(5));
+    });
+    let _ = sim.run();
+}
+
+#[test]
+fn cancelled_backstops_and_late_wakes_are_counted() {
+    // The event wins: the timed backstop is cancelled and left behind as
+    // a tombstone, which is skipped without counting as an event.
+    let mut sim = Simulation::with_seed(1);
+    let ev = Event::new();
+    let ev2 = ev.clone();
+    sim.spawn("waiter", move |ctx| {
+        ctx.handle().schedule_in(us(5), move |h| ev2.set(h));
+        assert!(ctx.wait_timeout(&ev, us(100)));
+    });
+    let report = sim.run().unwrap();
+    assert_eq!(report.end_time, SimTime::from_nanos(5_000));
+    assert_eq!((report.tombstones, report.stale_wakes), (1, 0));
+
+    // The deadline wins at the same instant the event fires: the
+    // event's wake arrives for a park the waiter already left.
+    let mut sim = Simulation::with_seed(1);
+    let ev = Event::new();
+    let ev2 = ev.clone();
+    sim.spawn("waiter", move |ctx| {
+        assert!(!ctx.wait_timeout(&ev, us(10)));
+        ctx.advance(us(1));
+    });
+    sim.spawn("setter", move |ctx| {
+        ctx.handle().schedule_in(us(10), move |h| ev2.set(h));
+    });
+    let report = sim.run().unwrap();
+    assert_eq!((report.tombstones, report.stale_wakes), (0, 1));
+    assert_eq!(report.events_processed, report.resumes + report.callbacks + report.stale_wakes);
+}
