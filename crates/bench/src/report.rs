@@ -150,19 +150,32 @@ fn json_f64(v: f64) -> String {
 /// True when the harness should run a reduced sweep (CI / smoke runs):
 /// either `--quick` on the command line or `PARCOMM_QUICK=1`.
 pub fn quick_mode() -> bool {
-    std::env::args().any(|a| a == "--quick")
-        || std::env::var("PARCOMM_QUICK").map(|v| v == "1").unwrap_or(false)
+    arg_flag("--quick") || std::env::var("PARCOMM_QUICK").map(|v| v == "1").unwrap_or(false)
 }
 
-/// Value following `flag` on the command line, if present.
-fn arg_value(flag: &str) -> Option<String> {
+/// True when `flag` appears on the command line.
+pub fn arg_flag(flag: &str) -> bool {
+    std::env::args().any(|a| a == flag)
+}
+
+/// Value of `flag` on the command line, given as `flag value` or
+/// `flag=value`; the first occurrence wins.
+pub fn arg_value(flag: &str) -> Option<String> {
     let mut args = std::env::args();
     while let Some(a) = args.next() {
         if a == flag {
             return args.next();
         }
+        if let Some(v) = a.strip_prefix(flag).and_then(|v| v.strip_prefix('=')) {
+            return Some(v.to_string());
+        }
     }
     None
+}
+
+/// [`arg_value`] for `flag`, else the environment variable `var`.
+pub fn arg_or_env(flag: &str, var: &str) -> Option<String> {
+    arg_value(flag).or_else(|| std::env::var(var).ok())
 }
 
 /// Output path for the Chrome `trace_event` export: `--trace-out <path>`
@@ -171,13 +184,13 @@ fn arg_value(flag: &str) -> Option<String> {
 /// Perfetto-loadable JSON trace there (plus folded flamegraph stacks at
 /// `<path>.folded`).
 pub fn trace_out() -> Option<String> {
-    arg_value("--trace-out").or_else(|| std::env::var("PARCOMM_TRACE_OUT").ok())
+    arg_or_env("--trace-out", "PARCOMM_TRACE_OUT")
 }
 
 /// Output path for the end-of-run metrics snapshot JSON:
 /// `--metrics-out <path>` or `PARCOMM_METRICS_OUT=<path>`.
 pub fn metrics_out() -> Option<String> {
-    arg_value("--metrics-out").or_else(|| std::env::var("PARCOMM_METRICS_OUT").ok())
+    arg_or_env("--metrics-out", "PARCOMM_METRICS_OUT")
 }
 
 /// Worker-thread count for the sweep engine: `--threads N` (or
@@ -193,8 +206,7 @@ pub fn threads() -> usize {
 /// (or `PARCOMM_MECHANISM=<short name>`). `None` when unset or
 /// unparseable — callers fall back to their own default.
 pub fn mechanism() -> Option<parcomm_core::CopyMechanism> {
-    arg_value("--mechanism")
-        .or_else(|| std::env::var("PARCOMM_MECHANISM").ok())
+    arg_or_env("--mechanism", "PARCOMM_MECHANISM")
         .and_then(|s| parcomm_core::CopyMechanism::from_short_name(&s))
 }
 
@@ -210,13 +222,7 @@ pub fn fault_seed() -> Option<u64> {
             s.parse().ok()
         }
     }
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--faults" {
-            return args.next().as_deref().and_then(parse);
-        }
-    }
-    std::env::var("PARCOMM_FAULTS").ok().as_deref().and_then(parse)
+    arg_or_env("--faults", "PARCOMM_FAULTS").as_deref().and_then(parse)
 }
 
 #[cfg(test)]

@@ -30,6 +30,18 @@
 //! ([`FaultPlan::with_watchdog`]) to convert the would-be hang into a typed
 //! [`MpiError`]; the [`chaos`] helpers arm one by default.
 //!
+//! ## Cells and campaigns
+//!
+//! Every chaos axis runs through one descriptor, [`Cell`]: the
+//! [`Workload`] (partitioned allreduce, device-initiated p2p, or the mux
+//! MoE layer at a channel budget), node count, [`TopologyShape`], stripe
+//! count, copy mechanism, and whether the recovery ladder is armed.
+//! [`Cell::run`] executes one plan on it. The [`coverage`] module is the
+//! one campaign engine: it runs a [`Corpus`] — the fixed seed × rate ×
+//! stripes grid, or the coverage-guided search — on the sweep pool,
+//! checks each cell against the recovery contract, and bisects violations
+//! to minimal failing plans.
+//!
 //! ## Quickstart
 //!
 //! ```
@@ -49,12 +61,14 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod campaign;
 pub mod chaos;
 pub mod coverage;
 mod plan;
 
-pub use campaign::{CampaignConfig, CellOutcome};
-pub use coverage::{CoverageCampaignConfig, CoverageOutcome, CoverageReport, FaultClass, FaultLayer};
+pub use chaos::{Cell, TopologyShape, Workload};
+pub use coverage::{
+    CampaignError, Corpus, CoverageCampaignConfig, CoverageOutcome, CoverageReport, FaultClass,
+    FaultLayer,
+};
 pub use parcomm_mpi::MpiError;
 pub use plan::{FaultPlan, PlanError};

@@ -13,7 +13,8 @@
 //! 4. **Zero-cost when disabled** — `FaultPlan::none()` reproduces the
 //!    frozen digests captured before the fault machinery existed.
 
-use parcomm_fault::{campaign, chaos, FaultPlan, MpiError};
+use parcomm_fault::{chaos, Cell, CoverageCampaignConfig, FaultPlan, MpiError, Workload};
+use parcomm_fault::coverage::run_coverage_campaign;
 use parcomm_testkit::sweep;
 
 // Digests of the canonical workloads captured on the build *before* the
@@ -225,23 +226,25 @@ fn chaos_mix_is_deterministic_and_seed_sensitive() {
 }
 
 /// The CI chaos sweep, now cheap enough to run by default: the eight-seed
-/// × two-rate campaign grid (each cell replayed twice) fans out over the
-/// `parcomm-sweep` work-stealing pool. `PARCOMM_CHAOS_SEED` shifts the
-/// whole seed block to explore fresh schedules without editing the test;
+/// × two-rate × two-stripe-count grid (each cell replayed twice) fans out
+/// over the `parcomm-sweep` work-stealing pool, once with the recovery
+/// ladder armed and once without. `PARCOMM_CHAOS_SEED` shifts the whole
+/// seed block to explore fresh schedules without editing the test;
 /// `--threads N` / `PARCOMM_THREADS` bounds the workers.
 #[test]
 fn chaos_sweep_eight_seeds() {
-    let cfg = campaign::CampaignConfig::ci(false);
-    let outcomes = campaign::run_campaign(&cfg, parcomm_sweep::threads());
-    assert_eq!(outcomes.len(), 32, "8 seeds x 2 rates x 2 stripe counts");
-    for o in &outcomes {
-        assert!(o.replayed, "seed {:#x} rate {}: replay diverged", o.fault_seed, o.rate);
-        assert!(o.survived, "seed {:#x} rate {}: rank errors", o.fault_seed, o.rate);
-        assert!(
-            o.numeric_ok,
-            "seed {:#x} rate {}: chaos corrupted the reduction",
-            o.fault_seed, o.rate
-        );
+    for recover in [true, false] {
+        let mut cfg = CoverageCampaignConfig::grid(false);
+        cfg.cell.recover = recover;
+        let report = run_coverage_campaign(&cfg, parcomm_sweep::threads(), None)
+            .expect("the CI grid is a valid campaign");
+        assert_eq!(report.outcomes.len(), 32, "8 seeds x 2 rates x 2 stripe counts");
+        for o in &report.outcomes {
+            let at = format!("{} stripes={} recover={recover}", o.target, o.stripes);
+            assert!(o.replayed, "{at}: replay diverged");
+            assert!(o.survived, "{at}: rank errors");
+            assert!(o.numeric_ok, "{at}: chaos corrupted the reduction");
+        }
     }
 }
 
@@ -256,31 +259,26 @@ fn chaos_sweep_eight_seeds() {
 #[test]
 fn shmem_fault_classes_uphold_the_chaos_contract() {
     use parcomm_core::CopyMechanism;
-    use parcomm_mpi::RecoverConfig;
 
-    let p2p = |plan: &FaultPlan, recover: Option<RecoverConfig>| {
-        chaos::run_device_p2p_cell(0xFA017, plan, 1, CopyMechanism::Shmem, recover)
+    let shmem = Cell { mechanism: CopyMechanism::Shmem, ..Cell::allreduce(1) };
+    let p2p_cell = Cell { workload: Workload::DeviceP2p, ..shmem.clone() };
+    let p2p = |plan: &FaultPlan, recover: bool| {
+        Cell { recover, ..p2p_cell.clone() }.run(0xFA017, plan)
     };
-    let clean = p2p(&FaultPlan::none(), None);
+    let clean = p2p(&FaultPlan::none(), false);
     assert!(clean.survived());
     assert_eq!(clean.numeric, vec![1.0, 4.0, 7.0, 10.0], "rank 0 keeps the received payload");
+    let pe_p2p = Cell { mechanism: CopyMechanism::ProgressionEngine, ..p2p_cell.clone() };
     assert_ne!(
         clean.digest,
-        chaos::run_device_p2p_cell(
-            0xFA017,
-            &FaultPlan::none(),
-            1,
-            CopyMechanism::ProgressionEngine,
-            None,
-        )
-        .digest,
+        pe_p2p.run(0xFA017, &FaultPlan::none()).digest,
         "the shmem cell must actually negotiate a different mechanism"
     );
 
     // Delayed signals on the sender: survivable without recovery.
     let delayed = FaultPlan::none().with_delayed_shmem_signals(1, 1, 60.0).with_watchdog(5e6);
-    let a = p2p(&delayed, None);
-    let b = p2p(&delayed, None);
+    let a = p2p(&delayed, false);
+    let b = p2p(&delayed, false);
     assert_eq!(a.digest, b.digest, "same (seed, plan) must replay identically");
     assert!(a.survived(), "delayed shmem signals are absorbed: {:?}", a.errors);
     assert_eq!(a.numeric, clean.numeric);
@@ -288,7 +286,7 @@ fn shmem_fault_classes_uphold_the_chaos_contract() {
 
     // Lost signals: the escalation ladder replays the epoch host-side.
     let lost = FaultPlan::none().with_lost_shmem_signals(1, 1).with_watchdog(5e6);
-    let recovered = p2p(&lost, Some(RecoverConfig::default()));
+    let recovered = p2p(&lost, true);
     assert!(
         recovered.survived(),
         "epoch replay must carry a lost shmem signal: {:?}",
@@ -298,9 +296,7 @@ fn shmem_fault_classes_uphold_the_chaos_contract() {
 
     // Heap registration failure on the collective workload: typed
     // demotion to the PE, never an error.
-    let coll = |plan: &FaultPlan| {
-        chaos::run_allreduce_cell(0xFA017, plan, 1, 1, CopyMechanism::Shmem, None)
-    };
+    let coll = |plan: &FaultPlan| shmem.run(0xFA017, plan);
     let coll_clean = coll(&FaultPlan::none());
     assert!(coll_clean.survived());
     assert_ne!(
@@ -319,12 +315,9 @@ fn shmem_fault_classes_uphold_the_chaos_contract() {
 /// `sweep` job diffing `chaos_campaign --threads 4` against serial).
 #[test]
 fn chaos_campaign_report_is_thread_count_invariant() {
-    let cfg = campaign::CampaignConfig::ci(true);
+    let cfg = CoverageCampaignConfig::grid(true);
     let render = |threads| {
-        campaign::run_campaign(&cfg, threads)
-            .iter()
-            .map(|o| format!("{}\n", o.render()))
-            .collect::<String>()
+        run_coverage_campaign(&cfg, threads, None).expect("the quick grid is valid").render()
     };
     let serial = render(1);
     assert_eq!(render(2), serial);

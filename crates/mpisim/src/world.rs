@@ -11,7 +11,7 @@ use parcomm_sim::Mutex;
 
 use parcomm_gpu::{CostModel, EmissionFaultConfig, Gpu, GpuId, Location, Unit};
 use parcomm_net::{ClusterSpec, Fabric, NetFaultConfig, Topology};
-use parcomm_obs::{Counter, Histogram, MetricsRegistry};
+use parcomm_obs::{Counter, Histogram, MetricsRegistry, MetricsSnapshot};
 use parcomm_shmem::SymmetricHeap;
 use parcomm_sim::{Ctx, SimBarrier, SimDuration, Simulation};
 use parcomm_ucx::{UcxUniverse, Worker, WorkerAddress};
@@ -60,10 +60,10 @@ impl MpiInstruments {
             watchdog_arms: registry.counter("mpi.watchdog.arms"),
             watchdog_fires: registry.counter("mpi.watchdog.fires"),
             pready_arrival_us: registry.histogram("mpi.pready_arrival_us"),
-            recover_lease_expired: registry.counter("mpi.recover.lease_expired"),
-            recover_replays: registry.counter("mpi.recover.replays"),
-            recover_stale_puts: registry.counter("mpi.recover.stale_puts"),
-            recover_host_drains: registry.counter("mpi.recover.host_drains"),
+            recover_lease_expired: registry.counter(RECOVER_LEASE_EXPIRED),
+            recover_replays: registry.counter(RECOVER_REPLAYS),
+            recover_stale_puts: registry.counter(RECOVER_STALE_PUTS),
+            recover_host_drains: registry.counter(RECOVER_HOST_DRAINS),
         }
     }
 }
@@ -95,6 +95,46 @@ pub struct RecoverConfig {
 impl Default for RecoverConfig {
     fn default() -> Self {
         RecoverConfig { max_replays: 4, detect_us: 20_000.0, lease_us: 2_000.0 }
+    }
+}
+
+const RECOVER_LEASE_EXPIRED: &str = "mpi.recover.lease_expired";
+const RECOVER_REPLAYS: &str = "mpi.recover.replays";
+const RECOVER_STALE_PUTS: &str = "mpi.recover.stale_puts";
+const RECOVER_HOST_DRAINS: &str = "mpi.recover.host_drains";
+
+/// Post-run survivability report, read from the `mpi.recover.*` counters
+/// [`MpiInstruments`] registers.
+///
+/// Counters are pure atomics, so assembling the report never perturbs the
+/// run's digest.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RecoveryReport {
+    /// PE leases found expired (crash or missed heartbeat).
+    pub lease_expired: u64,
+    /// Epoch replays issued.
+    pub replays: u64,
+    /// Stale pre-recovery puts discarded by generation gating.
+    pub stale_puts: u64,
+    /// Host drains of a dead engine's queue.
+    pub host_drains: u64,
+}
+
+impl RecoveryReport {
+    /// Read the recovery counters out of a run's metrics snapshot.
+    pub fn from_metrics(metrics: &MetricsSnapshot) -> Self {
+        let c = |name: &str| metrics.counter(name).unwrap_or(0);
+        RecoveryReport {
+            lease_expired: c(RECOVER_LEASE_EXPIRED),
+            replays: c(RECOVER_REPLAYS),
+            stale_puts: c(RECOVER_STALE_PUTS),
+            host_drains: c(RECOVER_HOST_DRAINS),
+        }
+    }
+
+    /// True when no ladder rung above put-retry fired.
+    pub fn quiet(&self) -> bool {
+        *self == RecoveryReport::default()
     }
 }
 

@@ -59,7 +59,6 @@ pub use parcomm_mux as mux;
 pub use parcomm_nccl as nccl;
 pub use parcomm_net as net;
 pub use parcomm_obs as obs;
-pub use parcomm_recover as recover;
 pub use parcomm_shmem as shmem;
 pub use parcomm_sim as sim;
 pub use parcomm_ucx as ucx;
@@ -73,11 +72,10 @@ pub mod prelude {
     };
     pub use parcomm_fault::FaultPlan;
     pub use parcomm_gpu::{AggLevel, Buffer, CostModel, DeviceCtx, Gpu, KernelSpec, Stream};
-    pub use parcomm_mpi::{MpiError, MpiWorld, Rank, WorldConfig};
+    pub use parcomm_mpi::{MpiError, MpiWorld, Rank, RecoverConfig, RecoveryReport, WorldConfig};
     pub use parcomm_mux::{ChannelSpec, Direction, MuxConfig, MuxService};
     pub use parcomm_nccl::{NcclComm, NcclConfig};
     pub use parcomm_net::ClusterSpec;
-    pub use parcomm_recover::{Quarantine, RecoverPolicy, RecoveryReport};
     pub use parcomm_shmem::{ShmemError, SymmetricHeap};
     pub use parcomm_sim::{Ctx, Event, SimConfig, SimDuration, SimTime, Simulation};
 }
