@@ -153,30 +153,8 @@ pub fn quick_mode() -> bool {
     arg_flag("--quick") || std::env::var("PARCOMM_QUICK").map(|v| v == "1").unwrap_or(false)
 }
 
-/// True when `flag` appears on the command line.
-pub fn arg_flag(flag: &str) -> bool {
-    std::env::args().any(|a| a == flag)
-}
-
-/// Value of `flag` on the command line, given as `flag value` or
-/// `flag=value`; the first occurrence wins.
-pub fn arg_value(flag: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args.next();
-        }
-        if let Some(v) = a.strip_prefix(flag).and_then(|v| v.strip_prefix('=')) {
-            return Some(v.to_string());
-        }
-    }
-    None
-}
-
-/// [`arg_value`] for `flag`, else the environment variable `var`.
-pub fn arg_or_env(flag: &str, var: &str) -> Option<String> {
-    arg_value(flag).or_else(|| std::env::var(var).ok())
-}
+// The workspace's one command-line parser and worker-count selection.
+pub use parcomm_sweep::{arg_flag, arg_or_env, arg_value, threads};
 
 /// Output path for the Chrome `trace_event` export: `--trace-out <path>`
 /// on the command line or `PARCOMM_TRACE_OUT=<path>`. When set, harnesses
@@ -191,15 +169,6 @@ pub fn trace_out() -> Option<String> {
 /// `--metrics-out <path>` or `PARCOMM_METRICS_OUT=<path>`.
 pub fn metrics_out() -> Option<String> {
     arg_or_env("--metrics-out", "PARCOMM_METRICS_OUT")
-}
-
-/// Worker-thread count for the sweep engine: `--threads N` (or
-/// `--threads=N`) on the command line, then `PARCOMM_THREADS`, then
-/// available parallelism. Every harness fans its parameter grid out over
-/// this many workers via `parcomm_sweep::SweepSpec`; output is
-/// byte-identical at any thread count.
-pub fn threads() -> usize {
-    parcomm_sweep::threads()
 }
 
 /// Copy mechanism selected on the command line: `--mechanism pe|kc|shmem`

@@ -578,7 +578,7 @@ impl DevicePrequest {
                 let pe_span = h
                     .trace()
                     .record_causal("pe_post", t0, ctx.now(), rank, Some(k as u32), flag_span);
-                inner.send.issue_completion_flag_put(&h, k, pe_span, t0);
+                inner.send.issue_completion_flag_put(k, pe_span, t0);
             }
             inner.pending.lock().processed += 1;
         }

@@ -36,13 +36,6 @@ use crate::channel::{
 };
 use crate::overheads::ApiOverheads;
 
-/// Maximum attempts for a device-initiated shmem put (first try + retries),
-/// mirroring the UCX transport's retry budget so chaos outcomes are
-/// comparable across mechanisms.
-const SHMEM_PUT_MAX_ATTEMPTS: u32 = 6;
-/// Initial retry backoff for a failed shmem put, doubled per attempt.
-const SHMEM_PUT_RETRY_BACKOFF_US: f64 = 20.0;
-
 /// Which transport partition covers user partition `u` when `users` user
 /// partitions are aggregated into `transports` transport partitions
 /// (contiguous, balanced split — the inverse of [`chunk_range`]).
@@ -123,27 +116,23 @@ pub(crate) struct PsendShared {
     /// scanned by the `MPI_Wait` watchdog to surface transport failures.
     /// Cleared at `MPI_Start` and by epoch replay (a replay supersedes the
     /// old attempt's handles — their failures are no longer diagnostic).
-    pub puts: Arc<Mutex<Vec<PutHandle>>>,
+    pub puts: Mutex<Vec<PutHandle>>,
     /// Replay generation: bumped by [`PsendShared::recover_epoch`]. Every
     /// put-completion closure captures the generation it was issued under
     /// and discards its side effects if a replay has superseded it — stale
     /// duplicates from a half-completed attempt cannot double-count.
-    pub gen: Arc<AtomicU64>,
+    pub gen: AtomicU64,
     /// Per-transport delivered latch for the current epoch: set exactly
     /// once, by the first (current-generation) flag put to land. Replay
     /// re-issues only undelivered transports; a racing duplicate that lands
     /// after the latch is discarded.
-    pub delivered: Arc<Mutex<Vec<bool>>>,
+    pub delivered: Mutex<Vec<bool>>,
     /// Host-drain takeover hook for the device (`MPIX_Pready`-from-kernel)
     /// path: registered by `prequest_create`, it drains the device
     /// notification queue from the waiter's context when the progression
     /// engine's lease expires. Draining pops from the same queue the PE
     /// hook drains, so each notification is serviced exactly once.
     pub device_drain: Mutex<Option<DrainHook>>,
-    /// Settled failure of a device-initiated shmem put (retry budget
-    /// exhausted). Checked first by the stall diagnosis; cleared at
-    /// `MPI_Start` and by epoch replay.
-    pub shmem_failure: Arc<Mutex<Option<ShmemError>>>,
 }
 
 /// Boxed host-drain callback; see [`PsendShared::device_drain`].
@@ -243,11 +232,10 @@ pub fn psend_init(
                 stripes: 1,
             }),
             transport_complete: CountEvent::named("psend transport_complete"),
-            puts: Arc::new(Mutex::new(Vec::new())),
-            gen: Arc::new(AtomicU64::new(0)),
-            delivered: Arc::new(Mutex::new(vec![false; 1])),
+            puts: Mutex::new(Vec::new()),
+            gen: AtomicU64::new(0),
+            delivered: Mutex::new(vec![false; 1]),
             device_drain: Mutex::new(None),
-            shmem_failure: Arc::new(Mutex::new(None)),
         }),
     })
 }
@@ -370,7 +358,6 @@ impl PsendRequest {
         st.sent = vec![false; t];
         *self.inner.delivered.lock() = vec![false; t];
         self.inner.puts.lock().clear();
-        *self.inner.shmem_failure.lock() = None;
         self.inner.transport_complete.reset();
         // Flag puts carry the epoch number so MPI_Parrived can distinguish
         // epochs without a reset race.
@@ -686,9 +673,6 @@ impl PsendShared {
     /// (transport gave up after retries), a crashed progression engine, then
     /// the generic stalled-counter timeout.
     pub(crate) fn diagnose_stall(&self, timeout_us: f64, expected: u64) -> MpiError {
-        if let Some(e) = self.shmem_failure.lock().clone() {
-            return MpiError::Shmem(e);
-        }
         let failed = self.puts.lock().iter().find_map(|p| match p.result() {
             Some(Err(e)) => Some(e),
             _ => None,
@@ -723,7 +707,7 @@ impl PsendShared {
 
     /// Replay the epoch's undelivered transports under a fresh generation;
     /// see [`PsendRequest::recover_epoch`].
-    pub(crate) fn recover_epoch(&self, ctx: &mut Ctx) -> usize {
+    pub(crate) fn recover_epoch(self: &Arc<Self>, ctx: &mut Ctx) -> usize {
         let todo: Vec<usize> = {
             let st = self.state.lock();
             if !st.started || !st.prepared {
@@ -746,7 +730,6 @@ impl PsendShared {
         // the stall diagnosis.
         self.gen.fetch_add(1, Ordering::AcqRel);
         self.puts.lock().clear();
-        *self.shmem_failure.lock() = None;
         if let Some(ins) = self.world.instruments() {
             ins.recover_replays.inc();
         }
@@ -819,6 +802,53 @@ impl PsendShared {
         Ok(completed)
     }
 
+    /// Freeze what a delivery of transport partition `k` needs at issue
+    /// time: its user-partition range, the receiver's arrival counter, and
+    /// the current replay generation.
+    fn delivery(&self, k: usize, pready_at: SimTime) -> Delivery {
+        let (t, notifier) = {
+            let st = self.state.lock();
+            (st.transport_partitions, st.notifier.clone().expect("pbuf_prepare not completed"))
+        };
+        let (u0, ulen) = chunk_range(self.user_partitions, t, k);
+        Delivery { k, u0, ulen, gen: self.gen.load(Ordering::Acquire), notifier, pready_at }
+    }
+
+    /// The one delivery gate, run when a transport's receive-side flags
+    /// land (chained flag put or shmem signal): count the delivery exactly
+    /// once, under the generation it was issued in. A landing from a
+    /// generation a replay superseded, or after the transport's delivered
+    /// latch is set, counts only as a stale put — replay is idempotent.
+    /// Returns whether this landing delivered.
+    fn deliver(&self, h: &SimHandle, d: &Delivery) -> bool {
+        {
+            let mut delivered = self.delivered.lock();
+            if self.gen.load(Ordering::Acquire) != d.gen || delivered[d.k] {
+                if let Some(ins) = self.world.instruments() {
+                    ins.recover_stale_puts.inc();
+                }
+                return false;
+            }
+            delivered[d.k] = true;
+        }
+        if let Some(ins) = self.world.instruments() {
+            let us = h.now().since(d.pready_at).as_micros_f64();
+            ins.pready_arrival_us.record(us.round() as u64);
+        }
+        d.notifier.add(h, d.ulen as u64);
+        self.transport_complete.add(h, 1);
+        true
+    }
+
+    /// MPI-level attribution of transport `k`'s puts.
+    fn attr(&self, k: usize) -> PutAttr {
+        PutAttr {
+            src_rank: Some(self.my_rank as u32),
+            dst_rank: Some(self.dest as u32),
+            partition: Some(k as u32),
+        }
+    }
+
     /// Issue the data put for transport partition `k`, chaining the
     /// receive-side flag put at its completion (paper §IV-A4). `cause` is
     /// the span that posted it (the progression-engine `pe_post` or the
@@ -826,7 +856,13 @@ impl PsendShared {
     /// the data put's completion span. `pready_at` is when the partition's
     /// pready began processing — the flag put landing closes the
     /// `mpi.pready_arrival_us` histogram interval.
-    pub(crate) fn issue_data_put(&self, h: &SimHandle, k: usize, cause: SpanId, pready_at: SimTime) {
+    pub(crate) fn issue_data_put(
+        self: &Arc<Self>,
+        h: &SimHandle,
+        k: usize,
+        cause: SpanId,
+        pready_at: SimTime,
+    ) {
         if self.state.lock().shmem.is_some() {
             // Negotiated shmem channel: every delivery of transport `k` —
             // host pready, PE-drained device notification, or epoch replay —
@@ -834,92 +870,32 @@ impl PsendShared {
             self.issue_shmem_put(h, k, cause, pready_at);
             return;
         }
-        let (ep, data_rkey, flag_rkey, notifier, flag_stage, t, stripes) = {
+        let (data_rkey, stripes) = {
             let st = self.state.lock();
-            (
-                self.endpoint.clone(),
-                st.data_rkey.clone().expect("pbuf_prepare not completed"),
-                st.flag_rkey.clone().expect("pbuf_prepare not completed"),
-                st.notifier.clone().expect("pbuf_prepare not completed"),
-                st.flag_stage.clone(),
-                st.transport_partitions,
-                st.stripes,
-            )
+            (st.data_rkey.clone().expect("pbuf_prepare not completed"), st.stripes)
         };
-        let (u0, ulen) = chunk_range(self.user_partitions, t, k);
-        let byte_off = u0 * self.partition_bytes;
-        let byte_len = ulen * self.partition_bytes;
-        let tc = self.transport_complete.clone();
-        let ep2 = ep.clone();
-        let puts = self.puts.clone();
-        let puts2 = puts.clone();
-        // Generation tag: a replay bumps `gen`, so completions of puts
-        // issued under an older generation (or after this transport's
-        // delivered latch is set) discard their side effects — replay is
-        // idempotent.
-        let issue_gen = self.gen.load(Ordering::Acquire);
-        let gen = self.gen.clone();
-        let delivered = self.delivered.clone();
-        let attr = PutAttr {
-            src_rank: Some(self.my_rank as u32),
-            dst_rank: Some(self.dest as u32),
-            partition: Some(k as u32),
-        };
-        let world = self.world.clone();
-        // The data put carries the channel's stripe count; stripe count 1
-        // is put_nbx_attr exactly. The chained flag put below is never
-        // striped — it is 8 bytes per user partition of control traffic,
-        // and it must observe the *assembled* payload, which the striped
-        // put's completion (firing at the assembly barrier) guarantees.
-        let h = ep.put_nbx_striped(
+        let d = self.delivery(k, pready_at);
+        let byte_off = d.u0 * self.partition_bytes;
+        let byte_len = d.ulen * self.partition_bytes;
+        let this = self.clone();
+        // The data put carries the channel's stripe count. The chained flag
+        // put is never striped — it is 8 bytes per user partition of
+        // control traffic, and it must observe the *assembled* payload,
+        // which the put's completion (firing at the assembly barrier)
+        // guarantees. The flag put keeps the data put's generation, so a
+        // data put superseded by a replay cannot deliver.
+        let put = self.endpoint.put_nbx(
             &self.buffer,
             byte_off,
             byte_len,
             &data_rkey,
             byte_off,
             stripes,
-            attr,
+            self.attr(k),
             cause,
-            move |_h, complete_span| {
-                // Data delivered: chain the control put that raises the
-                // receive-side partition flags (UCX has no
-                // put-with-completion). The sender's transport-complete
-                // count also waits for this chained put, so the epoch
-                // cannot close (and the flag staging cannot be restamped by
-                // the next MPI_Start) while a flag put is still reading it.
-                let notifier = notifier.clone();
-                let tc = tc.clone();
-                let fh = ep2.put_nbx_attr(
-                    &flag_stage,
-                    u0 * 8,
-                    ulen * 8,
-                    &flag_rkey,
-                    u0 * 8,
-                    attr,
-                    complete_span,
-                    move |h, _span| {
-                        {
-                            let mut d = delivered.lock();
-                            if gen.load(Ordering::Acquire) != issue_gen || d[k] {
-                                if let Some(ins) = world.instruments() {
-                                    ins.recover_stale_puts.inc();
-                                }
-                                return;
-                            }
-                            d[k] = true;
-                        }
-                        if let Some(ins) = world.instruments() {
-                            let us = h.now().since(pready_at).as_micros_f64();
-                            ins.pready_arrival_us.record(us.round() as u64);
-                        }
-                        notifier.add(h, ulen as u64);
-                        tc.add(h, 1);
-                    },
-                );
-                puts2.lock().push(fh);
-            },
+            move |_h, complete_span| this.put_flags(d, complete_span),
         );
-        puts.lock().push(h);
+        self.puts.lock().push(put);
     }
 
     /// Kernel-copy completion signal: the data already landed via in-kernel
@@ -927,231 +903,124 @@ impl PsendShared {
     /// progression-engine `pe_post` span that posted it; `pready_at` as in
     /// [`PsendShared::issue_data_put`].
     pub(crate) fn issue_completion_flag_put(
-        &self,
-        _h: &SimHandle,
+        self: &Arc<Self>,
         k: usize,
         cause: SpanId,
         pready_at: SimTime,
     ) {
-        let (ep, flag_rkey, notifier, flag_stage, t) = {
+        self.put_flags(self.delivery(k, pready_at), cause);
+    }
+
+    /// Put the receive-side partition flags of `d`'s transport (UCX has no
+    /// put-with-completion, so this is a chained control put) and run the
+    /// delivery gate when it lands. The sender's transport-complete count
+    /// waits for this put, so the epoch cannot close (and the flag staging
+    /// cannot be restamped by the next `MPI_Start`) while it still reads
+    /// the staging buffer.
+    fn put_flags(self: &Arc<Self>, d: Delivery, cause: SpanId) {
+        let (flag_rkey, flag_stage) = {
             let st = self.state.lock();
-            (
-                self.endpoint.clone(),
-                st.flag_rkey.clone().expect("pbuf_prepare not completed"),
-                st.notifier.clone().expect("pbuf_prepare not completed"),
-                st.flag_stage.clone(),
-                st.transport_partitions,
-            )
+            (st.flag_rkey.clone().expect("pbuf_prepare not completed"), st.flag_stage.clone())
         };
-        let (u0, ulen) = chunk_range(self.user_partitions, t, k);
-        let tc = self.transport_complete.clone();
-        let attr = PutAttr {
-            src_rank: Some(self.my_rank as u32),
-            dst_rank: Some(self.dest as u32),
-            partition: Some(k as u32),
-        };
-        let world = self.world.clone();
-        let issue_gen = self.gen.load(Ordering::Acquire);
-        let gen = self.gen.clone();
-        let delivered = self.delivered.clone();
-        let h = ep.put_nbx_attr(
+        let (off, len) = (d.u0 * 8, d.ulen * 8);
+        let this = self.clone();
+        let put = self.endpoint.put_nbx(
             &flag_stage,
-            u0 * 8,
-            ulen * 8,
+            off,
+            len,
             &flag_rkey,
-            u0 * 8,
-            attr,
+            off,
+            1,
+            self.attr(d.k),
             cause,
             move |h, _span| {
-                {
-                    let mut d = delivered.lock();
-                    if gen.load(Ordering::Acquire) != issue_gen || d[k] {
-                        if let Some(ins) = world.instruments() {
-                            ins.recover_stale_puts.inc();
-                        }
-                        return;
-                    }
-                    d[k] = true;
-                }
-                if let Some(ins) = world.instruments() {
-                    let us = h.now().since(pready_at).as_micros_f64();
-                    ins.pready_arrival_us.record(us.round() as u64);
-                }
-                notifier.add(h, ulen as u64);
-                tc.add(h, 1);
+                this.deliver(h, &d);
             },
         );
-        self.puts.lock().push(h);
+        self.puts.lock().push(put);
     }
 
     /// Issue the device-initiated one-sided put for transport partition `k`
-    /// on a negotiated shmem channel: translate the receiver's symmetric
-    /// offsets locally, push the payload through the fabric, and raise the
-    /// receive-side partition flags at arrival (`shmem_signal`) — no host
-    /// PE hop, no rkey, no chained control put. `cause` is the span that
-    /// initiated it (device emission, host pready, or recovery replay).
-    pub(crate) fn issue_shmem_put(&self, h: &SimHandle, k: usize, cause: SpanId, pready_at: SimTime) {
-        let (sh, notifier, t, epoch) = {
+    /// on a negotiated shmem channel: push the payload through the fabric
+    /// to the receiver's heap-translated buffers, and at arrival (+ the
+    /// signal store cost) deposit the bytes and raise the receive-side
+    /// partition flags in place (`shmem_signal`) — no host PE hop, no
+    /// rkey, no chained control put. `cause` is the span that initiated it
+    /// (device emission, host pready, or recovery replay).
+    pub(crate) fn issue_shmem_put(
+        self: &Arc<Self>,
+        h: &SimHandle,
+        k: usize,
+        cause: SpanId,
+        pready_at: SimTime,
+    ) {
+        let (sh, epoch) = {
             let st = self.state.lock();
-            (
-                st.shmem.clone().expect("shmem channel negotiated"),
-                st.notifier.clone().expect("pbuf_prepare not completed"),
-                st.transport_partitions,
-                st.epoch,
-            )
+            (st.shmem.clone().expect("shmem channel negotiated"), st.epoch)
         };
-        let (u0, ulen) = chunk_range(self.user_partitions, t, k);
-        let job = ShmemPutJob {
-            world: self.world.clone(),
-            src: self.buffer.clone(),
-            data: sh.data,
-            flags: sh.flags,
-            notifier,
-            tc: self.transport_complete.clone(),
-            gen: self.gen.clone(),
-            issue_gen: self.gen.load(Ordering::Acquire),
-            delivered: self.delivered.clone(),
-            failure: self.shmem_failure.clone(),
-            k,
-            u0,
-            ulen,
-            partition_bytes: self.partition_bytes,
-            epoch,
-            my_rank: self.my_rank,
-            dest: self.dest,
-            signal_us: self.cost.shmem_signal_us,
-            cause,
-            pready_at,
-            first_at: h.now(),
-        };
-        run_shmem_put(job, h, 0);
-    }
-}
-
-/// Everything one in-flight shmem put needs, cloneable across retries.
-struct ShmemPutJob {
-    world: MpiWorld,
-    src: Buffer,
-    data: Buffer,
-    flags: Buffer,
-    notifier: CountEvent,
-    tc: CountEvent,
-    gen: Arc<AtomicU64>,
-    issue_gen: u64,
-    delivered: Arc<Mutex<Vec<bool>>>,
-    failure: Arc<Mutex<Option<ShmemError>>>,
-    k: usize,
-    u0: usize,
-    ulen: usize,
-    partition_bytes: usize,
-    epoch: u64,
-    my_rank: usize,
-    dest: usize,
-    signal_us: f64,
-    cause: SpanId,
-    pready_at: SimTime,
-    first_at: SimTime,
-}
-
-/// One attempt of a shmem put: route the payload through the fabric, and at
-/// arrival (+ the signal store cost) deposit the bytes, raise the receiver's
-/// partition flags in place, and bump the completion counters. A fabric
-/// outage retries with doubling backoff; exhausting the budget settles a
-/// typed [`ShmemError::WireTimeout`] for the stall diagnosis.
-fn run_shmem_put(job: ShmemPutJob, h: &SimHandle, attempt: u32) {
-    let now = h.now();
-    let byte_off = job.u0 * job.partition_bytes;
-    let byte_len = job.ulen * job.partition_bytes;
-    let src_loc = job.src.space().location();
-    let dst_loc = job.data.space().location();
-    let heap_obs = job.world.shmem_heap().obs();
-    if attempt == 0 {
-        if let Some(i) = &heap_obs {
+        let d = self.delivery(k, pready_at);
+        let byte_off = d.u0 * self.partition_bytes;
+        let byte_len = d.ulen * self.partition_bytes;
+        if let Some(i) = self.world.shmem_heap().obs() {
             i.puts.inc();
             i.bytes.add(byte_len as u64);
         }
-    }
-    let put_span = h.trace().record_causal(
-        "shmem_put",
-        now,
-        now,
-        Some(job.my_rank as u32),
-        Some(job.k as u32),
-        job.cause,
-    );
-    match job.world.fabric().try_transfer_attr(
-        now,
-        src_loc,
-        dst_loc,
-        byte_len as u64,
-        put_span,
-        Some(job.dest as u32),
-        Some(job.k as u32),
-    ) {
-        Ok(transfer) => {
-            let arrival = transfer.arrival;
-            let wire_span = transfer.span;
-            let signal = SimDuration::from_micros_f64(job.signal_us);
-            h.schedule_at(arrival + signal, move |h| {
-                // Bytes land and flags are (re)stamped regardless of
-                // staleness — both are idempotent, exactly like a classic
-                // put's functional copy. Only the completion side effects
-                // are gated on the generation/delivered latch.
-                job.data.copy_from_buffer(byte_off, &job.src, byte_off, byte_len);
-                for u in job.u0..job.u0 + job.ulen {
-                    job.flags.write_flag(u, job.epoch);
-                }
-                {
-                    let mut d = job.delivered.lock();
-                    if job.gen.load(Ordering::Acquire) != job.issue_gen || d[job.k] {
-                        if let Some(ins) = job.world.instruments() {
-                            ins.recover_stale_puts.inc();
-                        }
-                        return;
-                    }
-                    d[job.k] = true;
-                }
-                h.trace().record_causal(
-                    "shmem_signal",
-                    arrival,
-                    h.now(),
-                    Some(job.dest as u32),
-                    Some(job.k as u32),
-                    wire_span,
-                );
-                if let Some(i) = job.world.shmem_heap().obs() {
-                    i.signals.inc();
-                }
-                if let Some(ins) = job.world.instruments() {
-                    let us = h.now().since(job.pready_at).as_micros_f64();
-                    ins.pready_arrival_us.record(us.round() as u64);
-                }
-                job.notifier.add(h, job.ulen as u64);
-                job.tc.add(h, 1);
-            });
-        }
-        Err(net_err) => {
-            if attempt + 1 >= SHMEM_PUT_MAX_ATTEMPTS {
-                if let Some(i) = &heap_obs {
-                    i.put_failures.inc();
-                }
-                let waited = now.since(job.first_at).as_micros_f64();
-                *job.failure.lock() = Some(ShmemError::WireTimeout {
-                    attempts: attempt + 1,
-                    waited_us: waited.round() as u64,
-                    cause: net_err.to_string(),
-                });
-            } else {
-                if let Some(i) = &heap_obs {
-                    i.put_retries.inc();
-                }
-                let backoff = SimDuration::from_micros_f64(
-                    SHMEM_PUT_RETRY_BACKOFF_US * f64::powi(2.0, attempt as i32),
-                );
-                h.schedule_in(backoff, move |h| run_shmem_put(job, h, attempt + 1));
+        let (now, rank, part) = (h.now(), Some(self.my_rank as u32), Some(k as u32));
+        let put_span = h.trace().record_causal("shmem_put", now, now, rank, part, cause);
+        // A shmem channel binds only IPC-eligible (intra-node) routes, and
+        // an intra-node transfer never routes through a NIC, so no fault
+        // schedule can fail it: this put has no retry or failure path.
+        let transfer = self
+            .world
+            .fabric()
+            .try_transfer_attr(
+                now,
+                self.buffer.space().location(),
+                sh.data.space().location(),
+                byte_len as u64,
+                put_span,
+                Some(self.dest as u32),
+                part,
+            )
+            .expect("shmem channels bind intra-node routes, which no NIC outage can fail");
+        let (arrival, wire_span) = (transfer.arrival, transfer.span);
+        let signal = SimDuration::from_micros_f64(self.cost.shmem_signal_us);
+        let this = self.clone();
+        h.schedule_at(arrival + signal, move |h| {
+            // Bytes land and flags are (re)stamped regardless of staleness
+            // — both are idempotent, exactly like a classic put's
+            // functional copy. Only the completion side effects are gated.
+            sh.data.copy_from_buffer(byte_off, &this.buffer, byte_off, byte_len);
+            for u in d.u0..d.u0 + d.ulen {
+                sh.flags.write_flag(u, epoch);
             }
-        }
+            if !this.deliver(h, &d) {
+                return;
+            }
+            let dest = Some(this.dest as u32);
+            h.trace().record_causal("shmem_signal", arrival, h.now(), dest, part, wire_span);
+            if let Some(i) = this.world.shmem_heap().obs() {
+                i.signals.inc();
+            }
+        });
     }
+}
+
+/// What one delivery of a transport partition froze when it was issued;
+/// its landing runs [`PsendShared::deliver`] against these values.
+struct Delivery {
+    /// Transport partition index.
+    k: usize,
+    /// First user partition the transport covers.
+    u0: usize,
+    /// Number of user partitions the transport covers.
+    ulen: usize,
+    /// Replay generation the delivery was issued under.
+    gen: u64,
+    /// The receiver's arrival counter.
+    notifier: CountEvent,
+    /// When the partition's pready began processing.
+    pready_at: SimTime,
 }
 
 impl std::fmt::Debug for PsendRequest {

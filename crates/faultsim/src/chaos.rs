@@ -298,6 +298,15 @@ impl Cell {
         format!("{key}{}:{point}", self.mechanism.short_name())
     }
 
+    /// Apply this cell's world axes (shape, stripes, mechanism, recovery)
+    /// to `cfg`.
+    pub(crate) fn configure(&self, cfg: &mut WorldConfig) {
+        cfg.cluster = self.shape.cluster(self.nodes);
+        cfg.stripes = self.stripes;
+        cfg.mechanism = self.mechanism;
+        cfg.recover = self.recover.then(RecoverConfig::default);
+    }
+
     /// Run this cell under `plan`.
     pub fn run(&self, sim_seed: u64, plan: &FaultPlan) -> ChaosRun {
         let (workload, nodes, mechanism) = (self.workload, self.nodes, self.mechanism);
@@ -305,12 +314,7 @@ impl Cell {
             sim_seed,
             plan,
             nodes,
-            |cfg| {
-                cfg.cluster = self.shape.cluster(nodes);
-                cfg.stripes = self.stripes;
-                cfg.mechanism = mechanism;
-                cfg.recover = self.recover.then(RecoverConfig::default);
-            },
+            |cfg| self.configure(cfg),
             move |ctx, rank| match workload {
                 Workload::Allreduce => allreduce_body(ctx, rank),
                 Workload::DeviceP2p => device_p2p_body(ctx, rank, mechanism),
@@ -395,7 +399,7 @@ fn device_p2p_body(
 
 /// Rank program for [`Workload::Allreduce`] (identical code path ⇒
 /// identical digests whatever the config knobs around it).
-fn allreduce_body(ctx: &mut Ctx, rank: &mut Rank) -> Result<Vec<f64>, MpiError> {
+pub(crate) fn allreduce_body(ctx: &mut Ctx, rank: &mut Rank) -> Result<Vec<f64>, MpiError> {
     let partitions = 4usize;
     let n = partitions * rank.size() * 64;
     let buf = rank.gpu().alloc_global(n * 8);

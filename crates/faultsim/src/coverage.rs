@@ -625,6 +625,14 @@ impl fmt::Display for CampaignError {
 
 impl std::error::Error for CampaignError {}
 
+/// Where the all-rails outage window of a one-channel cell opens, in µs:
+/// `earliest + span * u` for one uniform draw `u`. On the two-node cells
+/// the channel handshake's last message leaves by ~290 µs and cross-node
+/// puts run until ~650 µs (ragged), ~785 µs (uniform) and ~1100 µs
+/// (oversubscribed), so every window opens after the handshake and meets
+/// data traffic.
+const MULTI_NIC_OPEN_US: (f64, f64) = (400.0, 200.0);
+
 /// Synthesize a plan that injects exactly `classes`, with parameters drawn
 /// from `rng`. All windows are finite and placed so recoverable classes
 /// stay inside the escalation ladder's reach.
@@ -685,16 +693,17 @@ fn synthesize(classes: &[FaultClass], rng: &mut SimRng, cell: &Cell) -> FaultPla
     }
     if classes.contains(&FaultClass::MultiNicOutage) {
         // Every rail on one node dark across the data-put window. The
-        // window opens after the channel handshake settles (~400 µs on
-        // two nodes) — an outage overlapping the handshake is a
-        // documented survivability limit, not a recovery target — and
-        // ends inside the stall-detection horizon so epoch replay lands.
+        // window opens after the channel handshake settles — an outage
+        // overlapping the handshake is a documented survivability limit,
+        // not a recovery target — and before the last cross-node put
+        // (see MULTI_NIC_OPEN_US), and ends inside the stall-detection
+        // horizon so epoch replay lands.
         // All rails dark must still *classify* as a multi-NIC outage, so
         // the draw is over nodes with at least two rails (on the uniform
         // shape that is every node, keeping the historical draw sequence).
         let multi: Vec<u16> = (0..nodes).filter(|&v| topo.nics_on(v) >= 2).collect();
         let node = multi[rng.uniform_range(0, multi.len() as u64) as usize];
-        let from = 600.0 + 200.0 * rng.uniform();
+        let from = MULTI_NIC_OPEN_US.0 + MULTI_NIC_OPEN_US.1 * rng.uniform();
         let until = 8_000.0 + 4_000.0 * rng.uniform();
         for nic in 0..topo.nics_on(node) {
             plan = plan.with_nic_outage(node, nic, from, until).expect("finite ordered window");
@@ -1147,6 +1156,58 @@ impl Shrink for FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The fault-free `cell`'s cross-node traffic, read off its causal
+    /// trace: the issue instants (µs) of its cross-node puts — a `put`
+    /// span names the issuing rank, its `wire` child the receiving one —
+    /// and the start of its last active message (a `wire` span with no
+    /// causal parent: the channel handshake).
+    fn cross_node_traffic(cell: &Cell, sim_seed: u64) -> (Vec<f64>, f64) {
+        use parcomm_mpi::{MpiWorld, WorldConfig};
+        use parcomm_sim::Simulation;
+        let mut sim = Simulation::with_seed(sim_seed);
+        let trace = sim.trace();
+        trace.enable_causal();
+        let mut cfg = WorldConfig::gh200(cell.nodes);
+        cell.configure(&mut cfg);
+        let world = MpiWorld::new(&sim, cfg);
+        let topo = world.topology();
+        world.run_ranks(&mut sim, |ctx, rank| {
+            crate::chaos::allreduce_body(ctx, rank).expect("fault-free run");
+        });
+        sim.run().expect("fault-free run completes");
+        let spans = trace.spans();
+        let node = |rank: Option<u32>| topo.node_of(rank.expect("attributed put") as usize);
+        let wires = spans.iter().filter(|w| w.category == "wire");
+        let puts = wires
+            .clone()
+            .filter_map(|w| spans.get(w.caused_by.index()?).map(|put| (put, w)))
+            .filter(|(put, w)| put.category == "put" && node(put.rank) != node(w.rank))
+            .map(|(put, _)| put.start.as_micros_f64())
+            .collect();
+        let last_am = wires
+            .filter(|w| w.caused_by.is_none())
+            .map(|w| w.start.as_micros_f64())
+            .fold(0.0, f64::max);
+        (puts, last_am)
+    }
+
+    /// The all-rails outage window of a one-channel cell opens after the
+    /// channel handshake and before the fault-free run's last cross-node
+    /// put, on every shape, so the outage always meets data traffic.
+    #[test]
+    fn multi_nic_outage_window_opens_between_handshake_and_last_cross_node_put() {
+        let cfg = CoverageCampaignConfig::guided(0);
+        let (earliest, span) = MULTI_NIC_OPEN_US;
+        for shape in TopologyShape::ALL {
+            let cell = Cell { shape, ..cfg.cell.clone() };
+            let (puts, last_am) = cross_node_traffic(&cell, cfg.sim_seed);
+            let last_put = puts.iter().copied().fold(0.0, f64::max);
+            let latest = earliest + span;
+            assert!(earliest > last_am, "{shape:?}: opens {earliest} µs, last AM {last_am} µs");
+            assert!(latest < last_put, "{shape:?}: opens {latest} µs, last put {last_put} µs");
+        }
+    }
 
     #[test]
     fn classes_and_points_classify_plans() {

@@ -6,6 +6,11 @@
 //! propagation latency. Concurrent transfers over the same link queue
 //! behind each other, which is what produces bandwidth contention in the
 //! ring-collective experiments.
+//!
+//! One private hop-chain reservation serves every transfer shape: the
+//! routed path and the implicit multi-rail split in
+//! [`Fabric::try_transfer_attr`], and each stripe of
+//! [`Fabric::try_transfer_planned`].
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -20,6 +25,10 @@ use crate::faults::{NetError, NetFaultConfig, NetFaults};
 use crate::multipath::{relay_for_rail, MultiPathPlan, PlanError};
 use crate::spec::{ClusterSpec, LinkSpec};
 use crate::topology::{RouteClass, Topology, TopologyError};
+
+/// Cut-through segment: a message's next hop starts once this many bytes
+/// clear the hop before it.
+const SEGMENT_BYTES: u64 = 64 * 1024;
 
 /// Index of a physical link within the fabric.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
@@ -389,46 +398,25 @@ impl Fabric {
     /// The fabric moves *time*, not data: the caller applies the functional
     /// copy no later than `arrival` (typically in a completion callback).
     pub fn transfer_at(&self, at: SimTime, src: Location, dst: Location, bytes: u64) -> Transfer {
-        self.try_transfer_at(at, src, dst, bytes).unwrap_or_else(|e| {
+        self.try_transfer_attr(at, src, dst, bytes, SpanId::NONE, None, None).unwrap_or_else(|e| {
             panic!("fabric transfer {src:?} -> {dst:?} failed with no recovery path: {e}")
         })
     }
 
-    /// Fallible form of [`transfer_at`](Fabric::transfer_at): returns
-    /// [`NetError`] instead of panicking when an armed fault schedule has
-    /// taken down every usable NIC on a required node. Transient drops and
-    /// latency spikes never error — they surface as a later arrival (the
-    /// transport retransmits under the covers). With no faults armed this is
-    /// infallible and byte-identical in behavior to the fault-free fabric.
-    pub fn try_transfer_at(
-        &self,
-        at: SimTime,
-        src: Location,
-        dst: Location,
-        bytes: u64,
-    ) -> Result<Transfer, NetError> {
-        self.try_transfer_caused(at, src, dst, bytes, SpanId::NONE)
-    }
-
-    /// Like [`try_transfer_at`](Fabric::try_transfer_at), with the caller's
-    /// trace span as the causal parent of the transfer's `wire` span (pass
-    /// [`SpanId::NONE`] when there is none).
-    pub fn try_transfer_caused(
-        &self,
-        at: SimTime,
-        src: Location,
-        dst: Location,
-        bytes: u64,
-        cause: SpanId,
-    ) -> Result<Transfer, NetError> {
-        self.try_transfer_attr(at, src, dst, bytes, cause, None, None)
-    }
-
-    /// Like [`try_transfer_caused`](Fabric::try_transfer_caused), with the
-    /// destination MPI rank (and partition) the transfer delivers into
-    /// recorded on its `wire` span, so `obs::critical` sees the cross-rank
-    /// hop exactly instead of inferring it. Attribution is digest-neutral:
-    /// span digests hash only `(category, start, end)`.
+    /// Fallible, traced form of [`transfer_at`](Fabric::transfer_at).
+    ///
+    /// Returns [`NetError`] instead of panicking when an armed fault
+    /// schedule has taken down every usable NIC on a required node.
+    /// Transient drops and latency spikes never error — they surface as a
+    /// later arrival (the transport retransmits under the covers). With no
+    /// faults armed this is infallible.
+    ///
+    /// `cause` is the caller's trace span, the causal parent of the
+    /// transfer's `wire` span ([`SpanId::NONE`] when there is none). The
+    /// destination MPI rank (and partition) are recorded on the `wire` span
+    /// so `obs::critical` sees the cross-rank hop exactly instead of
+    /// inferring it. Attribution is digest-neutral: span digests hash only
+    /// `(category, start, end)`.
     #[allow(clippy::too_many_arguments)]
     pub fn try_transfer_attr(
         &self,
@@ -440,62 +428,97 @@ impl Fabric {
         dst_rank: Option<u32>,
         partition: Option<u32>,
     ) -> Result<Transfer, NetError> {
-        const SEGMENT_BYTES: u64 = 64 * 1024;
-        let now = self.inner.handle.now();
-        let at = at.max(now);
-        // Large cross-node messages stripe across every NIC pair of the
-        // two nodes (UCX multi-rail): each rail carries an equal share and
-        // the message completes when the slowest rail drains.
-        if src.node != dst.node && bytes >= Self::STRIPE_THRESHOLD {
-            return self.striped_transfer(at, src, dst, bytes, cause, dst_rank, partition);
-        }
-        let (route, src_nic) = self.route_at(at, src, dst)?;
-        let mut cursor = at;
-        let mut first_start = None;
-        let mut tail = at;
-        for id in &route.links {
-            let link = &self.inner.links[id.0];
-            let (s, e) = link.reserve(cursor, bytes);
-            if first_start.is_none() {
-                first_start = Some(s);
-            }
-            // Next hop starts after the first segment clears this one.
-            let seg = SimDuration::from_micros_f64(
-                link.spec.serialize_us(bytes.min(SEGMENT_BYTES)),
-            );
-            cursor = s + seg;
-            tail = tail.max(e);
-        }
-        let arrival = tail + route.latency + self.fault_penalty();
-        let done = Event::new();
-        {
-            let done = done.clone();
-            self.inner.handle.schedule_at(arrival, move |h| done.set(h));
-        }
-        let start = first_start.unwrap_or(at);
+        let at = at.max(self.inner.handle.now());
+        let mut start = None;
+        let mut arrival = at;
+        let mut reserve = |hops: &[LinkId], bytes: u64| {
+            let (s, tail, latency) = self.reserve_chain(at, hops, bytes);
+            start.get_or_insert(s);
+            arrival = arrival.max(tail + latency);
+        };
+        // Large cross-node messages stripe across every usable NIC pair of
+        // the two nodes (UCX multi-rail): each rail carries an equal share
+        // and the message completes when the slowest rail drains. Under an
+        // armed NIC outage the message re-stripes over the surviving rails
+        // — degraded bandwidth, not failure — and only errors when no rail
+        // survives.
+        let rail_shares: Vec<(u8, u64)> =
+            if src.node != dst.node && bytes >= Self::STRIPE_THRESHOLD {
+                let rails = self.up_rails(src.node, dst.node, at)?;
+                let share = bytes.div_ceil(rails.len() as u64);
+                for &nic in &rails {
+                    let up = self.link(LinkKey::Ib { node: src.node, nic, up: true });
+                    let down = self.link(LinkKey::Ib { node: dst.node, nic, up: false });
+                    reserve(&[up, down], share);
+                }
+                rails.iter().map(|&nic| (nic, share)).collect()
+            } else {
+                let (links, src_nic) = self.route_at(at, src, dst)?;
+                reserve(&links, bytes);
+                src_nic.map(|nic| vec![(nic, bytes)]).unwrap_or_default()
+            };
+        let start = start.unwrap_or(at);
+        let (arrival, done) = self.land(arrival, bytes, &rail_shares);
         let span = self
             .inner
             .handle
             .trace()
             .record_attr("wire", start, arrival, dst_rank, partition, cause);
-        let rail_shares: Vec<(u8, u64)> =
-            src_nic.map(|nic| vec![(nic, bytes)]).unwrap_or_default();
-        self.count_transfer(bytes, &rail_shares);
         Ok(Transfer { start, arrival, done, span })
     }
 
-    /// Like [`route`](Fabric::route), but steers cross-node hops around NIC
-    /// outages active at `at`. Identical to `route` when no faults are
-    /// armed. Also reports the chosen source NIC on cross-node routes (for
-    /// per-rail accounting).
+    /// Reserve the cut-through hop chain `hops` for `bytes`, starting no
+    /// earlier than `at`: each hop starts once the first segment clears the
+    /// hop before it. Returns the first hop's start, the last hop's
+    /// end-of-serialization, and the summed propagation latency.
+    fn reserve_chain(
+        &self,
+        at: SimTime,
+        hops: &[LinkId],
+        bytes: u64,
+    ) -> (SimTime, SimTime, SimDuration) {
+        let mut cursor = at;
+        let mut first_start = None;
+        let mut tail = at;
+        let mut latency = SimDuration::ZERO;
+        for id in hops {
+            let link = &self.inner.links[id.0];
+            let (s, e) = link.reserve(cursor, bytes);
+            first_start.get_or_insert(s);
+            cursor =
+                s + SimDuration::from_micros_f64(link.spec.serialize_us(bytes.min(SEGMENT_BYTES)));
+            tail = tail.max(e);
+            latency += SimDuration::from_micros_f64(link.spec.latency_us);
+        }
+        (first_start.unwrap_or(at), tail, latency)
+    }
+
+    /// Settle a reserved transfer whose slowest byte lands at `arrival`:
+    /// add the armed fault penalty, schedule the one `done` event at the
+    /// penalized arrival, and count the payload. Returns both.
+    fn land(&self, arrival: SimTime, bytes: u64, rail_shares: &[(u8, u64)]) -> (SimTime, Event) {
+        let arrival = arrival + self.fault_penalty();
+        let done = Event::new();
+        {
+            let done = done.clone();
+            self.inner.handle.schedule_at(arrival, move |h| done.set(h));
+        }
+        self.count_transfer(bytes, rail_shares);
+        (arrival, done)
+    }
+
+    /// The hops of the route from `src` to `dst`, steering cross-node hops
+    /// around NIC outages active at `at` (identical to [`route`](Fabric::route)
+    /// when no faults are armed). Also reports the chosen source NIC on
+    /// cross-node routes (for per-rail accounting).
     fn route_at(
         &self,
         at: SimTime,
         src: Location,
         dst: Location,
-    ) -> Result<(Route, Option<u8>), NetError> {
+    ) -> Result<(Vec<LinkId>, Option<u8>), NetError> {
         if src.node == dst.node {
-            return Ok((self.route(src, dst), None));
+            return Ok((self.route(src, dst).links, None));
         }
         let src_nic = self.pick_nic(src.node, self.nic_for(src), at)?;
         let dst_nic = self.pick_nic(dst.node, self.nic_for(dst), at)?;
@@ -503,80 +526,12 @@ impl Fabric {
             self.link(LinkKey::Ib { node: src.node, nic: src_nic, up: true }),
             self.link(LinkKey::Ib { node: dst.node, nic: dst_nic, up: false }),
         ];
-        let latency = links
-            .iter()
-            .map(|id| SimDuration::from_micros_f64(self.inner.links[id.0].spec.latency_us))
-            .sum();
-        Ok((Route { links, latency }, Some(src_nic)))
-    }
-
-    /// Transfer starting at the current instant.
-    pub fn transfer(&self, src: Location, dst: Location, bytes: u64) -> Transfer {
-        self.transfer_at(self.inner.handle.now(), src, dst, bytes)
+        Ok((links, Some(src_nic)))
     }
 
     /// Messages at or above this size stripe across all NIC rails when
     /// crossing nodes (the UCX multi-rail threshold).
     pub const STRIPE_THRESHOLD: u64 = 1 << 20;
-
-    /// Multi-rail cross-node transfer: split `bytes` evenly over every
-    /// usable (uplink, downlink) NIC pair; each rail is cut-through
-    /// internally. Under an armed NIC outage the message **re-stripes** over
-    /// the surviving rails — degraded bandwidth, not failure — and only
-    /// errors when no rail survives.
-    #[allow(clippy::too_many_arguments)]
-    fn striped_transfer(
-        &self,
-        at: SimTime,
-        src: Location,
-        dst: Location,
-        bytes: u64,
-        cause: SpanId,
-        dst_rank: Option<u32>,
-        partition: Option<u32>,
-    ) -> Result<Transfer, NetError> {
-        const SEGMENT_BYTES: u64 = 64 * 1024;
-        let rails = self.up_rails(src.node, dst.node, at)?;
-        let share = bytes.div_ceil(rails.len() as u64);
-        let rail_shares: Vec<(u8, u64)> = rails.iter().map(|&nic| (nic, share)).collect();
-        let mut first_start: Option<SimTime> = None;
-        let mut arrival = at;
-        for nic in rails {
-            let up = self.link(LinkKey::Ib { node: src.node, nic, up: true });
-            let down = self.link(LinkKey::Ib { node: dst.node, nic, up: false });
-            let mut cursor = at;
-            let mut tail = at;
-            let mut latency = SimDuration::ZERO;
-            for id in [up, down] {
-                let link = &self.inner.links[id.0];
-                let (s, e) = link.reserve(cursor, share);
-                if first_start.is_none() {
-                    first_start = Some(s);
-                }
-                let seg = SimDuration::from_micros_f64(
-                    link.spec.serialize_us(share.min(SEGMENT_BYTES)),
-                );
-                cursor = s + seg;
-                tail = tail.max(e);
-                latency += SimDuration::from_micros_f64(link.spec.latency_us);
-            }
-            arrival = arrival.max(tail + latency);
-        }
-        let arrival = arrival + self.fault_penalty();
-        let done = Event::new();
-        {
-            let done = done.clone();
-            self.inner.handle.schedule_at(arrival, move |h| done.set(h));
-        }
-        let start = first_start.unwrap_or(at);
-        let span = self
-            .inner
-            .handle
-            .trace()
-            .record_attr("wire", start, arrival, dst_rank, partition, cause);
-        self.count_transfer(bytes, &rail_shares);
-        Ok(Transfer { start, arrival, done, span })
-    }
 
     /// Compute a [`MultiPathPlan`] splitting `bytes` from `src` to `dst`
     /// into (up to) `stripes` stripes over the paths this fabric's
@@ -614,9 +569,7 @@ impl Fabric {
         dst_rank: Option<u32>,
         partition: Option<u32>,
     ) -> Result<StripedTransfer, NetError> {
-        const SEGMENT_BYTES: u64 = 64 * 1024;
-        let now = self.inner.handle.now();
-        let at = at.max(now);
+        let at = at.max(self.inner.handle.now());
         if plan.is_single_path() {
             let t = self.try_transfer_attr(
                 at, plan.src, plan.dst, plan.bytes, cause, dst_rank, partition,
@@ -644,10 +597,11 @@ impl Fabric {
         } else {
             Vec::new()
         };
+        let trace = self.inner.handle.trace();
         let mut first_start: Option<SimTime> = None;
         let mut overall = at;
         let mut rail_shares: Vec<(u8, u64)> = Vec::new();
-        let mut landed: Vec<(u64, u64, Option<u8>, SimTime, SimTime)> = Vec::new();
+        let mut stripes = Vec::with_capacity(plan.stripes.len());
         for stripe in &plan.stripes {
             let (hops, used_rail) = if cross_node {
                 let planned = stripe.rail.expect("cross-node multi-stripe plans pin rails");
@@ -689,59 +643,28 @@ impl Fabric {
                 };
                 (hops, None)
             };
-            let mut cursor = at;
-            let mut tail = at;
-            let mut latency = SimDuration::ZERO;
-            let mut stripe_start: Option<SimTime> = None;
-            for id in hops {
-                let link = &self.inner.links[id.0];
-                let (s, e) = link.reserve(cursor, stripe.len);
-                if stripe_start.is_none() {
-                    stripe_start = Some(s);
-                }
-                let seg = SimDuration::from_micros_f64(
-                    link.spec.serialize_us(stripe.len.min(SEGMENT_BYTES)),
-                );
-                cursor = s + seg;
-                tail = tail.max(e);
-                latency += SimDuration::from_micros_f64(link.spec.latency_us);
-            }
-            let stripe_start = stripe_start.unwrap_or(at);
-            if first_start.is_none() {
-                first_start = Some(stripe_start);
-            }
-            let stripe_arrival = tail + latency;
-            overall = overall.max(stripe_arrival);
+            let (s, tail, latency) = self.reserve_chain(at, &hops, stripe.len);
+            first_start.get_or_insert(s);
+            let arrival = tail + latency;
+            overall = overall.max(arrival);
             if let Some(rail) = used_rail {
                 match rail_shares.iter_mut().find(|(r, _)| *r == rail) {
                     Some((_, share)) => *share += stripe.len,
                     None => rail_shares.push((rail, stripe.len)),
                 }
             }
-            landed.push((stripe.offset, stripe.len, used_rail, stripe_start, stripe_arrival));
+            stripes.push(StripeArrival {
+                index: stripes.len(),
+                offset: stripe.offset,
+                len: stripe.len,
+                rail: used_rail,
+                arrival,
+                span: trace.record_attr("wire", s, arrival, dst_rank, partition, cause),
+            });
         }
-        let arrival = overall + self.fault_penalty();
-        let done = Event::new();
-        {
-            let done = done.clone();
-            self.inner.handle.schedule_at(arrival, move |h| done.set(h));
-        }
-        let trace = self.inner.handle.trace();
-        let stripes: Vec<StripeArrival> = landed
-            .into_iter()
-            .enumerate()
-            .map(|(index, (offset, len, rail, s, a))| StripeArrival {
-                index,
-                offset,
-                len,
-                rail,
-                arrival: a,
-                span: trace.record_attr("wire", s, a, dst_rank, partition, cause),
-            })
-            .collect();
         // Rail accounting uses the exact stripe lengths, so the per-rail
         // counters sum to the payload precisely.
-        self.count_transfer(plan.bytes, &rail_shares);
+        let (arrival, done) = self.land(overall, plan.bytes, &rail_shares);
         Ok(StripedTransfer { start: first_start.unwrap_or(at), arrival, done, stripes })
     }
 
@@ -766,7 +689,6 @@ impl Fabric {
     /// serialization (bottleneck hop plus one segment per extra hop) plus
     /// propagation. Used by the kernel-copy path to extend kernel windows.
     pub fn unloaded_duration(&self, src: Location, dst: Location, bytes: u64) -> SimDuration {
-        const SEGMENT_BYTES: u64 = 64 * 1024;
         // Mirror transfer_at's multi-rail striping for large cross-node
         // messages: each rail carries an equal share.
         let bytes = if src.node != dst.node && bytes >= Self::STRIPE_THRESHOLD {

@@ -5,6 +5,14 @@
 //! with an occupancy-aware link model: every link is a FIFO resource, every
 //! transfer serializes on its route and accumulates hop latency. See
 //! `DESIGN.md` §2 for calibration values.
+//!
+//! Every transfer — a routed message, the implicit multi-rail split of a
+//! large cross-node message, or each stripe of a [`MultiPathPlan`] —
+//! reserves its links through one cut-through hop chain and settles
+//! through one landing (fault penalty, a single `done` event, per-rail
+//! byte accounting). Only cross-node transfers pick NICs, so only they
+//! can fail, with the typed [`NetError::NoNicAvailable`]; intra-node
+//! transfers succeed under any fault schedule.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -2,8 +2,8 @@
 //! link contention.
 
 use parcomm_gpu::{Location, Unit};
-use parcomm_net::{ClusterSpec, Fabric};
-use parcomm_sim::{SimConfig, Simulation};
+use parcomm_net::{ClusterSpec, Fabric, NetError, NetFaultConfig, NicOutage, RouteClass};
+use parcomm_sim::{SimConfig, Simulation, SpanId};
 
 fn gpu(node: u16, idx: u8) -> Location {
     Location { node, unit: Unit::Gpu(idx) }
@@ -46,7 +46,7 @@ fn transfer_times_match_bandwidth() {
     let fabric = Fabric::new(sim.handle(), ClusterSpec::gh200(1));
     sim.spawn("p", move |ctx| {
         // 150 MB over 150 GB/s NVLink = 1 ms + 1.9 µs latency.
-        let t = fabric.transfer(gpu(0, 0), gpu(0, 1), 150_000_000);
+        let t = fabric.transfer_at(ctx.now(), gpu(0, 0), gpu(0, 1), 150_000_000);
         ctx.wait(&t.done);
         let us = ctx.now().as_micros_f64();
         assert!((1001.0..1003.0).contains(&us), "arrival at {us}");
@@ -59,8 +59,8 @@ fn same_link_transfers_contend() {
     let mut sim = Simulation::new(SimConfig::default());
     let fabric = Fabric::new(sim.handle(), ClusterSpec::gh200(1));
     sim.spawn("p", move |ctx| {
-        let a = fabric.transfer(gpu(0, 0), gpu(0, 1), 150_000_000);
-        let b = fabric.transfer(gpu(0, 0), gpu(0, 1), 150_000_000);
+        let a = fabric.transfer_at(ctx.now(), gpu(0, 0), gpu(0, 1), 150_000_000);
+        let b = fabric.transfer_at(ctx.now(), gpu(0, 0), gpu(0, 1), 150_000_000);
         // Second transfer queues behind the first on the same link.
         assert!(b.start >= a.start);
         assert!(
@@ -77,8 +77,8 @@ fn distinct_links_do_not_contend() {
     let mut sim = Simulation::new(SimConfig::default());
     let fabric = Fabric::new(sim.handle(), ClusterSpec::gh200(1));
     sim.spawn("p", move |ctx| {
-        let a = fabric.transfer(gpu(0, 0), gpu(0, 1), 150_000_000);
-        let b = fabric.transfer(gpu(0, 2), gpu(0, 3), 150_000_000);
+        let a = fabric.transfer_at(ctx.now(), gpu(0, 0), gpu(0, 1), 150_000_000);
+        let b = fabric.transfer_at(ctx.now(), gpu(0, 2), gpu(0, 3), 150_000_000);
         let delta =
             (a.arrival.as_micros_f64() - b.arrival.as_micros_f64()).abs();
         assert!(delta < 1.0, "independent NVLink pairs must run in parallel");
@@ -93,8 +93,8 @@ fn opposite_directions_do_not_contend() {
     let mut sim = Simulation::new(SimConfig::default());
     let fabric = Fabric::new(sim.handle(), ClusterSpec::gh200(1));
     sim.spawn("p", move |ctx| {
-        let a = fabric.transfer(gpu(0, 0), gpu(0, 1), 150_000_000);
-        let b = fabric.transfer(gpu(0, 1), gpu(0, 0), 150_000_000);
+        let a = fabric.transfer_at(ctx.now(), gpu(0, 0), gpu(0, 1), 150_000_000);
+        let b = fabric.transfer_at(ctx.now(), gpu(0, 1), gpu(0, 0), 150_000_000);
         let delta = (a.arrival.as_micros_f64() - b.arrival.as_micros_f64()).abs();
         assert!(delta < 1.0, "NVLink is full duplex in the model");
         ctx.wait(&a.done);
@@ -110,8 +110,8 @@ fn cross_node_nic_mapping_separates_gpu_flows() {
     sim.spawn("p", move |ctx| {
         // Below the multi-rail stripe threshold, GPU 0 and GPU 1 use their
         // own NICs, so cross-node flows overlap.
-        let a = fabric.transfer(gpu(0, 0), gpu(1, 0), 512_000);
-        let b = fabric.transfer(gpu(0, 1), gpu(1, 1), 512_000);
+        let a = fabric.transfer_at(ctx.now(), gpu(0, 0), gpu(1, 0), 512_000);
+        let b = fabric.transfer_at(ctx.now(), gpu(0, 1), gpu(1, 1), 512_000);
         let delta = (a.arrival.as_micros_f64() - b.arrival.as_micros_f64()).abs();
         assert!(delta < 1.0, "per-GPU NICs must not serialize");
         ctx.wait(&a.done);
@@ -129,7 +129,7 @@ fn unloaded_duration_matches_actual_on_idle_fabric() {
         // multi-rail split exactly like the reservation path.
         let predicted = fabric.unloaded_duration(gpu(0, 0), gpu(1, 2), 1 << 22);
         let t0 = ctx.now();
-        let t = fabric.transfer(gpu(0, 0), gpu(1, 2), 1 << 22);
+        let t = fabric.transfer_at(ctx.now(), gpu(0, 0), gpu(1, 2), 1 << 22);
         ctx.wait(&t.done);
         let actual = ctx.now().since(t0);
         // Allow 2 ns of float-rounding skew between the analytic form and
@@ -145,7 +145,7 @@ fn zero_byte_transfer_is_latency_only() {
     let mut sim = Simulation::new(SimConfig::default());
     let fabric = Fabric::new(sim.handle(), ClusterSpec::gh200(1));
     sim.spawn("p", move |ctx| {
-        let t = fabric.transfer(gpu(0, 0), gpu(0, 1), 0);
+        let t = fabric.transfer_at(ctx.now(), gpu(0, 0), gpu(0, 1), 0);
         ctx.wait(&t.done);
         let us = ctx.now().as_micros_f64();
         assert!((1.8..2.0).contains(&us), "latency-only arrival {us}");
@@ -160,7 +160,7 @@ fn large_cross_node_transfers_stripe_across_rails() {
     sim.spawn("p", move |ctx| {
         // 200 MB striped over 4 × 50 GB/s rails ≈ 1 ms; single-rail would
         // be 4 ms.
-        let t = fabric.transfer(gpu(0, 0), gpu(1, 0), 200_000_000);
+        let t = fabric.transfer_at(ctx.now(), gpu(0, 0), gpu(1, 0), 200_000_000);
         ctx.wait(&t.done);
         let us = ctx.now().as_micros_f64();
         assert!((1000.0..1100.0).contains(&us), "striped arrival {us}");
@@ -180,4 +180,82 @@ fn transfer_at_future_time_respects_start() {
         assert!(ctx.now().as_micros_f64() >= 100.0);
     });
     sim.run().unwrap();
+}
+
+/// Intra-node routes never touch a NIC, so no fault schedule can make an
+/// intra-node transfer fail: with every NIC of every node down forever
+/// (plus drops and spikes), each intra-node class — single-path and
+/// planned multi-path — still returns `Ok`, while cross-node transfers
+/// surface the typed `NoNicAvailable`. The shmem put relies on this: it
+/// binds only intra-node routes and so has no failure path.
+#[test]
+fn intra_node_transfers_survive_every_nic_down_forever() {
+    let oversubscribed = ClusterSpec::gh200_ragged(&[4, 2], &[2, 1], 2);
+    for spec in [ClusterSpec::gh200(2), oversubscribed] {
+        let mut sim = Simulation::new(SimConfig::default());
+        let fabric = Fabric::new(sim.handle(), spec);
+        let topo = fabric.topology();
+        let nic_outages = (0..topo.nodes())
+            .flat_map(|node| {
+                (0..topo.nics_on(node)).map(move |nic| NicOutage {
+                    node,
+                    nic,
+                    from_us: 0.0,
+                    until_us: f64::INFINITY,
+                })
+            })
+            .collect();
+        fabric.arm_faults(NetFaultConfig {
+            seed: 7,
+            drop_prob: 0.5,
+            retransmit_delay_us: 5.0,
+            spike_prob: 0.5,
+            spike_us: 40.0,
+            nic_outages,
+        });
+        sim.spawn("p", move |ctx| {
+            let intra = [
+                (gpu(0, 0), gpu(0, 1), RouteClass::NvLink),
+                (gpu(1, 0), gpu(1, 1), RouteClass::NvLink),
+                (gpu(0, 2), cpu(0), RouteClass::C2cHost),
+                (cpu(1), gpu(1, 1), RouteClass::C2cHost),
+                (cpu(0), cpu(0), RouteClass::HostLocal),
+                (gpu(0, 3), gpu(0, 3), RouteClass::SameGpu),
+            ];
+            for (src, dst, class) in intra {
+                assert_eq!(RouteClass::classify(src, dst), class);
+                for bytes in [0u64, 4096, Fabric::STRIPE_THRESHOLD, 8 << 20] {
+                    let at = ctx.now();
+                    let t = fabric.try_transfer_attr(at, src, dst, bytes, SpanId::NONE, None, None);
+                    assert!(t.is_ok(), "{class:?} {bytes} B: {t:?}");
+                    let plan = fabric.plan(src, dst, bytes, 4).expect("valid stripe count");
+                    let st = fabric.try_transfer_planned(at, &plan, SpanId::NONE, None, None);
+                    assert!(st.is_ok(), "planned {class:?} {bytes} B: {st:?}");
+                }
+            }
+            for bytes in [4096u64, 8 << 20] {
+                let at = ctx.now();
+                let t = fabric.try_transfer_attr(
+                    at,
+                    gpu(0, 0),
+                    gpu(1, 0),
+                    bytes,
+                    SpanId::NONE,
+                    None,
+                    None,
+                );
+                assert!(
+                    matches!(t, Err(NetError::NoNicAvailable { .. })),
+                    "cross-node {bytes} B: {t:?}"
+                );
+                let plan = fabric.plan(gpu(0, 0), gpu(1, 0), bytes, 4).expect("valid stripe count");
+                let st = fabric.try_transfer_planned(at, &plan, SpanId::NONE, None, None);
+                assert!(
+                    matches!(st, Err(NetError::NoNicAvailable { .. })),
+                    "planned cross-node {bytes} B: {st:?}"
+                );
+            }
+        });
+        sim.run().unwrap();
+    }
 }

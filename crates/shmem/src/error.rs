@@ -52,16 +52,6 @@ pub enum ShmemError {
         /// The classified route.
         class: RouteClass,
     },
-    /// A device-initiated put exhausted its retry budget without finding a
-    /// usable route (fault-injected outage outlasting the retry window).
-    WireTimeout {
-        /// Attempts made (first try + retries).
-        attempts: u32,
-        /// Virtual time spent retrying, in whole microseconds.
-        waited_us: u64,
-        /// Stringified fabric error from the final attempt.
-        cause: String,
-    },
 }
 
 impl std::fmt::Display for ShmemError {
@@ -84,10 +74,6 @@ impl std::fmt::Display for ShmemError {
             ShmemError::RouteForbidden { src, dst, class } => write!(
                 f,
                 "route {src:?} -> {dst:?} ({class:?}) forbids symmetric access"
-            ),
-            ShmemError::WireTimeout { attempts, waited_us, cause } => write!(
-                f,
-                "shmem put gave up after {attempts} attempts ({waited_us}us of backoff): {cause}"
             ),
         }
     }

@@ -13,6 +13,11 @@
 //! the shmem emission fault schedule); the wire path is composed in
 //! `parcomm-core`, which drives the fabric directly from the device
 //! emission — no UCP endpoint, no progression-engine hook.
+//!
+//! Every [`ShmemError`] is a setup-time verdict (bind, translation,
+//! registration, route). The put itself cannot fail: channels bind only
+//! intra-node routes, which never pick a NIC, so no fabric fault can
+//! refuse the transfer — drops and spikes only delay it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

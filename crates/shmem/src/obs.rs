@@ -23,11 +23,6 @@ pub struct ShmemInstruments {
     /// channel, so every shmem channel setup adds 2
     /// (`shmem.rkey_exchanges_avoided`).
     pub rkey_exchanges_avoided: Counter,
-    /// Put attempts retried after a fabric routing failure
-    /// (`shmem.put_retries`).
-    pub put_retries: Counter,
-    /// Puts that exhausted their retry budget (`shmem.put_failures`).
-    pub put_failures: Counter,
 }
 
 impl ShmemInstruments {
@@ -39,8 +34,6 @@ impl ShmemInstruments {
             bytes: registry.counter("shmem.bytes"),
             fallbacks: registry.counter("shmem.fallbacks"),
             rkey_exchanges_avoided: registry.counter("shmem.rkey_exchanges_avoided"),
-            put_retries: registry.counter("shmem.put_retries"),
-            put_failures: registry.counter("shmem.put_failures"),
         }
     }
 }

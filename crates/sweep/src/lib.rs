@@ -21,7 +21,8 @@
 //!
 //! Thread count selection is shared by every binary via [`threads`]:
 //! `--threads N` flag, then `PARCOMM_THREADS`, then available
-//! parallelism.
+//! parallelism. The command-line helpers it uses ([`arg_flag`],
+//! [`arg_value`], [`arg_or_env`]) are the workspace's one argument parser.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -33,26 +34,40 @@ pub mod spec;
 pub use sink::{CellValue, JsonlSink};
 pub use spec::{CellError, SweepResults, SweepSpec};
 
+/// True when `flag` appears on the command line.
+pub fn arg_flag(flag: &str) -> bool {
+    std::env::args().any(|a| a == flag)
+}
+
+/// Value of `flag` on the command line, given as `flag value` or
+/// `flag=value`; the first occurrence wins.
+pub fn arg_value(flag: &str) -> Option<String> {
+    let mut args = std::env::args();
+    while let Some(a) = args.next() {
+        if a == flag {
+            return args.next();
+        }
+        if let Some(v) = a.strip_prefix(flag).and_then(|v| v.strip_prefix('=')) {
+            return Some(v.to_string());
+        }
+    }
+    None
+}
+
+/// [`arg_value`] for `flag`, else the environment variable `var`.
+pub fn arg_or_env(flag: &str, var: &str) -> Option<String> {
+    arg_value(flag).or_else(|| std::env::var(var).ok())
+}
+
 /// Worker-thread count for a sweep-running binary: the `--threads N` (or
 /// `--threads=N`) command-line flag if present, else the
 /// `PARCOMM_THREADS` environment variable, else
 /// [`std::thread::available_parallelism`]. Always at least 1.
 pub fn threads() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    for (i, arg) in args.iter().enumerate() {
-        let explicit = if arg == "--threads" {
-            args.get(i + 1).map(String::as_str)
-        } else {
-            arg.strip_prefix("--threads=")
-        };
-        if let Some(n) = explicit.and_then(|v| v.parse::<usize>().ok()) {
-            return n.max(1);
-        }
+    let parse = |v: String| v.parse::<usize>().ok();
+    let explicit = arg_value("--threads").and_then(parse);
+    match explicit.or_else(|| std::env::var("PARCOMM_THREADS").ok().and_then(parse)) {
+        Some(n) => n.max(1),
+        None => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
     }
-    if let Some(n) =
-        std::env::var("PARCOMM_THREADS").ok().and_then(|v| v.parse::<usize>().ok())
-    {
-        return n.max(1);
-    }
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }

@@ -7,6 +7,12 @@
 //! `IBV_WR_RDMA_WRITE_WITH_IMM`). Callbacks attached to a put run exactly
 //! at its arrival instant, which is where the chained put is issued.
 //!
+//! There is one put, [`Endpoint::put_nbx`], and one attempt routine: every
+//! attempt executes a [`MultiPathPlan`](parcomm_net::MultiPathPlan). A
+//! one-stripe put schedules a single landing (copy, `put_complete` span,
+//! completion, `done`); an N-stripe put schedules N landings and then the
+//! assembly barrier.
+//!
 //! `rkey_ptr` models the paper's modified `uct_cuda_ipc_rkey_ptr`: for
 //! device memory on the same node it exposes a directly-storable
 //! [`IpcMapping`] of the remote buffer (the Kernel Copy substrate). The
@@ -27,7 +33,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use parcomm_gpu::{Buffer, Location, MemSpace};
-use parcomm_net::{Fabric, NetError, RouteClass};
+use parcomm_net::{Fabric, RouteClass, StripeArrival};
 use parcomm_sim::{Event, Mutex, SimDuration, SimHandle, SimTime, SpanId};
 
 use crate::worker::{Endpoint, UcxError, UcxUniverse, Worker};
@@ -210,7 +216,7 @@ pub struct PutAttr {
 }
 
 impl PutAttr {
-    /// No attribution (the pre-existing `put_nbx_caused` behavior).
+    /// No attribution.
     pub const NONE: PutAttr = PutAttr { src_rank: None, dst_rank: None, partition: None };
 }
 
@@ -234,16 +240,21 @@ struct PendingPut {
     cause: SpanId,
     /// MPI-level attribution for the put's causal spans.
     attr: PutAttr,
-    /// Requested stripe count. `1` (the overwhelmingly common case) takes
-    /// the classic single-transfer path untouched; `> 1` routes the put
-    /// through a [`MultiPathPlan`](parcomm_net::MultiPathPlan) with
-    /// per-stripe functional copies and completion spans.
+    /// Requested stripe count (at least 1).
     stripes: usize,
 }
 
-/// Issue (or re-issue) one attempt of a put; schedules the next retry with
-/// exponential backoff on a routing failure, or settles the handle with
-/// [`UcxError::PutTimeout`] once attempts are exhausted.
+/// Issue (or re-issue) one attempt of a put: execute its
+/// [`MultiPathPlan`](parcomm_net::MultiPathPlan) on the fabric and land
+/// each stripe — functional copy plus a `put_complete` span caused by the
+/// stripe's `wire` span — the instant it arrives. The completion hook,
+/// latency metric, result and `done` fire once the payload is whole: in
+/// the single landing of a one-stripe put, or at the **assembly barrier**
+/// after the last stripe of a multi-stripe put, so chained operations (the
+/// receive-side flag put above all) never observe a partially reassembled
+/// payload. A routing failure schedules the next attempt with exponential
+/// backoff, re-planned against the rails surviving then, or settles the
+/// handle with [`UcxError::PutTimeout`] once attempts are exhausted.
 fn attempt_put(p: PendingPut, attempt: u32) -> SimTime {
     let h = p.fabric.sim().clone();
     let now = h.now();
@@ -253,172 +264,105 @@ fn attempt_put(p: PendingPut, attempt: u32) -> SimTime {
         }
     }
     // The put's issue instant, causally chained to whatever posted it; the
-    // wire span it produces is in turn chained to the put.
+    // wire spans it produces are in turn chained to the put.
     let put_span =
         h.trace().record_causal("put", now, now, p.attr.src_rank, p.attr.partition, p.cause);
-    if p.stripes > 1 {
-        return attempt_put_striped(p, attempt, put_span, h, now);
-    }
-    match p.fabric.try_transfer_attr(
-        now,
-        p.from,
-        p.to,
-        p.len as u64,
-        put_span,
-        p.attr.dst_rank,
-        p.attr.partition,
-    ) {
-        Ok(transfer) => {
-            let arrival = transfer.arrival;
-            let wire_span = transfer.span;
-            let PendingPut {
-                universe,
-                src,
-                src_off,
-                len,
-                dst,
-                dst_off,
-                on_complete,
-                done,
-                result,
-                first_try_at,
-                attr,
-                ..
-            } = p;
-            h.schedule_at(arrival, move |h| {
-                dst.copy_from_buffer(dst_off, &src, src_off, len);
-                if let Some(i) = universe.obs() {
-                    let issue_to_land = arrival.since(first_try_at).as_micros_f64();
-                    i.put_latency.record(issue_to_land.round() as u64);
-                }
-                let complete_span = h.trace().record_causal(
-                    "put_complete",
-                    arrival,
-                    arrival,
-                    attr.dst_rank,
-                    attr.partition,
-                    wire_span,
-                );
-                on_complete(h, complete_span);
-                *result.lock() = Some(Ok(arrival));
-                done.set(h);
-            });
-            arrival
-        }
-        Err(net_err) => retry_or_fail(p, attempt, net_err, &h, now),
-    }
-}
-
-/// Shared failure arm of the put retry chain: schedule the next attempt
-/// with exponential backoff, or settle the handle with
-/// [`UcxError::PutTimeout`] once attempts are exhausted.
-fn retry_or_fail(
-    p: PendingPut,
-    attempt: u32,
-    net_err: NetError,
-    h: &SimHandle,
-    now: SimTime,
-) -> SimTime {
-    if let Some(i) = p.universe.obs() {
-        if attempt + 1 >= PUT_MAX_ATTEMPTS {
-            i.put_failures.inc();
-        } else {
-            i.put_retries.inc();
-        }
-    }
-    if attempt + 1 >= PUT_MAX_ATTEMPTS {
-        let waited = now.since(p.first_try_at);
-        *p.result.lock() = Some(Err(UcxError::PutTimeout {
-            attempts: attempt + 1,
-            waited_us: waited.as_micros_f64() as u64,
-            cause: net_err.to_string(),
-        }));
-        p.done.set(h);
-    } else {
-        let backoff =
-            SimDuration::from_micros_f64(PUT_RETRY_BACKOFF_US * f64::powi(2.0, attempt as i32));
-        h.schedule_in(backoff, move |_h| {
-            attempt_put(p, attempt + 1);
-        });
-    }
-    now
-}
-
-/// The multi-path arm of [`attempt_put`]: execute the put through a
-/// [`MultiPathPlan`](parcomm_net::MultiPathPlan). Each stripe applies its
-/// partial functional copy and records its own `put_complete` span (caused
-/// by that stripe's `wire` span) the instant it lands; the put's
-/// completion hook, latency metric, and `done` event fire only at the
-/// **assembly barrier** — the slowest stripe's arrival — so chained
-/// operations (the receive-side flag put above all) never observe a
-/// partially reassembled payload. Retries and [`UcxError::PutTimeout`]
-/// behave exactly as on the single-path arm; each retry re-plans against
-/// the rails surviving at that instant.
-fn attempt_put_striped(
-    p: PendingPut,
-    attempt: u32,
-    put_span: SpanId,
-    h: SimHandle,
-    now: SimTime,
-) -> SimTime {
     let plan = p
         .fabric
         .plan(p.from, p.to, p.len as u64, p.stripes)
         .expect("stripe count validated when the request was configured");
-    match p.fabric.try_transfer_planned(now, &plan, put_span, p.attr.dst_rank, p.attr.partition) {
-        Ok(st) => {
-            let arrival = st.arrival;
-            let PendingPut {
-                universe,
-                src,
-                src_off,
-                dst,
-                dst_off,
-                on_complete,
-                done,
-                result,
-                first_try_at,
-                attr,
-                ..
-            } = p;
-            // The last-landing stripe's put_complete span, handed to the
-            // completion hook so the chained flag put extends the causal
-            // chain from the stripe that actually finished the payload.
-            let last_span = Arc::new(Mutex::new(SpanId::NONE));
-            for s in &st.stripes {
-                let (dst, src) = (dst.clone(), src.clone());
-                let (s_off, d_off, s_len) =
-                    (src_off + s.offset as usize, dst_off + s.offset as usize, s.len as usize);
-                let (stripe_arrival, stripe_span) = (s.arrival, s.span);
-                let last = last_span.clone();
-                h.schedule_at(stripe_arrival, move |h| {
-                    dst.copy_from_buffer(d_off, &src, s_off, s_len);
-                    let span = h.trace().record_causal(
-                        "put_complete",
-                        stripe_arrival,
-                        stripe_arrival,
-                        attr.dst_rank,
-                        attr.partition,
-                        stripe_span,
-                    );
-                    *last.lock() = span;
+    let st = match p.fabric.try_transfer_planned(
+        now,
+        &plan,
+        put_span,
+        p.attr.dst_rank,
+        p.attr.partition,
+    ) {
+        Ok(st) => st,
+        Err(net_err) => {
+            let exhausted = attempt + 1 >= PUT_MAX_ATTEMPTS;
+            if let Some(i) = p.universe.obs() {
+                if exhausted {
+                    i.put_failures.inc();
+                } else {
+                    i.put_retries.inc();
+                }
+            }
+            if exhausted {
+                let waited = now.since(p.first_try_at);
+                *p.result.lock() = Some(Err(UcxError::PutTimeout {
+                    attempts: attempt + 1,
+                    waited_us: waited.as_micros_f64() as u64,
+                    cause: net_err.to_string(),
+                }));
+                p.done.set(&h);
+            } else {
+                let backoff = SimDuration::from_micros_f64(
+                    PUT_RETRY_BACKOFF_US * f64::powi(2.0, attempt as i32),
+                );
+                h.schedule_in(backoff, move |_h| {
+                    attempt_put(p, attempt + 1);
                 });
             }
-            // Scheduled after the stripe landings, so at the barrier
-            // instant FIFO ordering guarantees every copy has applied.
-            h.schedule_at(arrival, move |h| {
-                if let Some(i) = universe.obs() {
-                    let issue_to_land = arrival.since(first_try_at).as_micros_f64();
-                    i.put_latency.record(issue_to_land.round() as u64);
-                }
-                on_complete(h, *last_span.lock());
-                *result.lock() = Some(Ok(arrival));
-                done.set(h);
-            });
-            arrival
+            return now;
         }
-        Err(net_err) => retry_or_fail(p, attempt, net_err, &h, now),
+    };
+    let arrival = st.arrival;
+    let PendingPut {
+        universe,
+        src,
+        src_off,
+        dst,
+        dst_off,
+        on_complete,
+        done,
+        result,
+        first_try_at,
+        attr,
+        ..
+    } = p;
+    let complete = move |h: &SimHandle, span: SpanId| {
+        if let Some(i) = universe.obs() {
+            let issue_to_land = arrival.since(first_try_at).as_micros_f64();
+            i.put_latency.record(issue_to_land.round() as u64);
+        }
+        on_complete(h, span);
+        *result.lock() = Some(Ok(arrival));
+        done.set(h);
+    };
+    let land = move |h: &SimHandle, s: &StripeArrival| {
+        let off = s.offset as usize;
+        dst.copy_from_buffer(dst_off + off, &src, src_off + off, s.len as usize);
+        h.trace().record_causal(
+            "put_complete",
+            s.arrival,
+            s.arrival,
+            attr.dst_rank,
+            attr.partition,
+            s.span,
+        )
+    };
+    if plan.requested == 1 {
+        let s = st.stripes.into_iter().next().expect("a plan has at least one stripe");
+        h.schedule_at(s.arrival, move |h| {
+            let span = land(h, &s);
+            complete(h, span);
+        });
+        return arrival;
     }
+    // The last-landing stripe's put_complete span, handed to the
+    // completion hook so the chained flag put extends the causal chain
+    // from the stripe that actually finished the payload.
+    let last_span = Arc::new(Mutex::new(SpanId::NONE));
+    let land = Arc::new(land);
+    for s in st.stripes {
+        let (land, last) = (land.clone(), last_span.clone());
+        h.schedule_at(s.arrival, move |h| *last.lock() = land(h, &s));
+    }
+    // Scheduled after the stripe landings, so at the barrier instant FIFO
+    // ordering guarantees every copy has applied.
+    h.schedule_at(arrival, move |h| complete(h, *last_span.lock()));
+    arrival
 }
 
 impl Endpoint {
@@ -430,74 +374,23 @@ impl Endpoint {
     /// payload moves GPU→GPU without staging through the host even though
     /// the operation is posted by the host).
     ///
-    /// `on_complete` runs at the arrival instant, after the functional copy
-    /// — the hook where the paper chains the receive-side flag put. If the
-    /// put fails (fault-injected NIC outage outlasting the retry window),
+    /// `stripes` splits the payload into up to that many stripes routed
+    /// concurrently over the eligible paths of the fabric (a
+    /// [`MultiPathPlan`](parcomm_net::MultiPathPlan) per attempt); `1` is
+    /// the classic single-path put, and the caller keeps it within
+    /// [`parcomm_net::MAX_STRIPES`]. `attr` carries the MPI ranks (and
+    /// partition) through the `put` → `wire` → `put_complete` causal chain
+    /// (see [`PutAttr`]); `cause` is the span that posted the put (e.g. the
+    /// progression-engine drain), or [`SpanId::NONE`].
+    ///
+    /// `on_complete` runs once the whole payload has landed, after the
+    /// functional copy, with the put's (last) `put_complete` span — the
+    /// hook where the paper chains the receive-side flag put. If the put
+    /// fails (fault-injected NIC outage outlasting the retry window),
     /// `on_complete` never runs; `done` fires with an `Err` in
     /// [`PutHandle::result`] instead.
+    #[allow(clippy::too_many_arguments)]
     pub fn put_nbx(
-        &self,
-        src: &Buffer,
-        src_off: usize,
-        len: usize,
-        rkey: &RKey,
-        dst_off: usize,
-        on_complete: impl FnOnce(&SimHandle) + Send + 'static,
-    ) -> PutHandle {
-        self.put_nbx_caused(src, src_off, len, rkey, dst_off, SpanId::NONE, move |h, _span| {
-            on_complete(h)
-        })
-    }
-
-    /// Like [`put_nbx`](Endpoint::put_nbx), with causal tracing: `cause` is
-    /// the span that posted this put (e.g. the progression-engine drain),
-    /// and `on_complete` receives the put's `put_complete` span so chained
-    /// operations — the receive-side flag put above all — can extend the
-    /// causal chain. Identical to `put_nbx` when causal tracing is off.
-    #[allow(clippy::too_many_arguments)]
-    pub fn put_nbx_caused(
-        &self,
-        src: &Buffer,
-        src_off: usize,
-        len: usize,
-        rkey: &RKey,
-        dst_off: usize,
-        cause: SpanId,
-        on_complete: impl FnOnce(&SimHandle, SpanId) + Send + 'static,
-    ) -> PutHandle {
-        self.put_nbx_attr(src, src_off, len, rkey, dst_off, PutAttr::NONE, cause, on_complete)
-    }
-
-    /// Like [`put_nbx_caused`](Endpoint::put_nbx_caused), additionally
-    /// carrying the MPI ranks (and partition) of the transfer through the
-    /// `put` → `wire` → `put_complete` causal chain — see [`PutAttr`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn put_nbx_attr(
-        &self,
-        src: &Buffer,
-        src_off: usize,
-        len: usize,
-        rkey: &RKey,
-        dst_off: usize,
-        attr: PutAttr,
-        cause: SpanId,
-        on_complete: impl FnOnce(&SimHandle, SpanId) + Send + 'static,
-    ) -> PutHandle {
-        self.put_nbx_striped(src, src_off, len, rkey, dst_off, 1, attr, cause, on_complete)
-    }
-
-    /// Like [`put_nbx_attr`](Endpoint::put_nbx_attr), splitting the payload
-    /// into up to `stripes` stripes routed concurrently over the eligible
-    /// paths of the fabric (a [`MultiPathPlan`](parcomm_net::MultiPathPlan)
-    /// per attempt). `stripes <= 1` is **exactly** `put_nbx_attr` — same
-    /// code path, same events, same spans — so single-path behavior is
-    /// unchanged by construction. Each stripe lands (functional copy +
-    /// `put_complete` span) at its own arrival; `on_complete`, the handle's
-    /// result, and `done` fire at the assembly barrier when the slowest
-    /// stripe arrives. The caller is responsible for `stripes` being within
-    /// [`parcomm_net::MAX_STRIPES`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn put_nbx_striped(
         &self,
         src: &Buffer,
         src_off: usize,
@@ -532,17 +425,5 @@ impl Endpoint {
         };
         let arrival = attempt_put(pending, 0);
         PutHandle { done, arrival, result }
-    }
-
-    /// Put without a completion callback.
-    pub fn put_nbx_silent(
-        &self,
-        src: &Buffer,
-        src_off: usize,
-        len: usize,
-        rkey: &RKey,
-        dst_off: usize,
-    ) -> PutHandle {
-        self.put_nbx(src, src_off, len, rkey, dst_off, |_| {})
     }
 }

@@ -19,7 +19,7 @@ use parcomm_sim::Mutex;
 use parcomm_gpu::Location;
 use parcomm_net::Fabric;
 use parcomm_obs::{Counter, Histogram, MetricsRegistry};
-use parcomm_sim::{Ctx, Event, SimDuration, SimHandle};
+use parcomm_sim::{Ctx, Event, SimDuration, SimHandle, SpanId};
 
 /// Address of a worker, obtainable via [`Worker::address`] and exchangeable
 /// out of band (the simulation's universe registry plays that role).
@@ -365,7 +365,8 @@ fn am_send_attempt(
             i.am_retries.inc();
         }
     }
-    match universe.fabric().try_transfer_at(now, src, dst.location, wire_bytes) {
+    let fabric = universe.fabric();
+    match fabric.try_transfer_attr(now, src, dst.location, wire_bytes, SpanId::NONE, None, None) {
         Ok(transfer) => {
             // Deliver into the mailbox exactly at arrival.
             h.schedule_at(transfer.arrival, move |h| {

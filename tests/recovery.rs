@@ -10,23 +10,15 @@
 //! 4. **Idempotent replay** — spurious `recover_epoch` calls on a live
 //!    epoch are harmless: duplicate puts land under a stale generation and
 //!    are discarded (a seeded property test with shrinking);
-//! 5. **Quarantine + schedule repair** — the hierarchical allreduce
-//!    schedule recomputed around a quarantined node still reduces
-//!    correctly over the survivors, and an unroutable repair is a typed
-//!    [`MpiError::Unrecoverable`], never a hang;
-//! 6. **Coverage-guided search beats the grid** — at equal cell budget the
+//! 5. **Coverage-guided search beats the grid** — at equal cell budget the
 //!    guided campaign covers every one of its targets, strictly more
 //!    fault-class × layer points than the fixed seed×rate grid, with zero
 //!    contract failures.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use parcomm::coll::{Schedule, StepOp};
 use parcomm::fault::coverage::run_coverage_campaign;
 use parcomm::fault::{chaos, Cell, Corpus, CoverageCampaignConfig, Workload};
-use parcomm::mpi::MpiError;
-use parcomm::net::Topology;
 use parcomm::prelude::*;
 use parcomm::sim::Mutex;
 use parcomm_testkit::prop::{check, PropConfig, TestResult};
@@ -211,104 +203,6 @@ fn spurious_epoch_replay_is_idempotent() {
     assert_eq!(got.len(), 4 * 512);
     assert_eq!(replay_count, 2, "each spurious recover_epoch is one counted replay");
     assert!(stale > 0, "old-generation completions must be discarded as stale");
-}
-
-/// Value-level schedule interpreter: executes the per-rank schedules in
-/// lockstep over one f64 per chunk, staging sends before applying arrivals
-/// (so a step may send and receive the same buffer slot safely).
-fn interpret(scheds: &BTreeMap<usize, Schedule>, init: &BTreeMap<usize, Vec<f64>>) -> BTreeMap<usize, Vec<f64>> {
-    let orig = init.clone();
-    let mut bufs = init.clone();
-    let steps = scheds.values().map(|s| s.len()).max().unwrap_or(0);
-    for i in 0..steps {
-        let mut staged: BTreeMap<usize, f64> = BTreeMap::new();
-        for (&r, sched) in scheds {
-            if let Some(step) = sched.steps.get(i) {
-                if !step.outgoing.is_empty() {
-                    let src = if step.early_stage { &orig[&r] } else { &bufs[&r] };
-                    staged.insert(r, src[step.ready_offset]);
-                }
-            }
-        }
-        for (&r, sched) in scheds {
-            if let Some(step) = sched.steps.get(i) {
-                for src in &step.incoming {
-                    let v = *staged
-                        .get(src)
-                        .unwrap_or_else(|| panic!("step {i}: rank {r} expects a send from {src}"));
-                    let buf = bufs.get_mut(&r).expect("rank buffer");
-                    match step.op {
-                        StepOp::Sum => buf[step.arrived_offset] += v,
-                        StepOp::Nop => buf[step.arrived_offset] = v,
-                    }
-                }
-            }
-        }
-    }
-    bufs
-}
-
-fn chunk_value(rank: usize, c: usize) -> f64 {
-    (rank * 13 + c * 7 + 1) as f64
-}
-
-#[test]
-fn quarantine_repair_reroutes_4node_hierarchical_allreduce() {
-    let topo = Topology::new(4, 4, 4).expect("4-node GH200 topology");
-    let ranks = 16usize;
-
-    // Sanity: the unrepaired hierarchical schedule is a correct allreduce
-    // under the interpreter (validates the interpreter itself).
-    let scheds: BTreeMap<usize, Schedule> =
-        (0..ranks).map(|r| (r, Schedule::hierarchical_ring_allreduce(r, &topo))).collect();
-    let chunks = scheds[&0].chunks;
-    let init: BTreeMap<usize, Vec<f64>> = (0..ranks)
-        .map(|r| (r, (0..chunks).map(|c| chunk_value(r, c)).collect()))
-        .collect();
-    let done = interpret(&scheds, &init);
-    for r in 0..ranks {
-        for (c, got) in done[&r].iter().enumerate() {
-            let want: f64 = (0..ranks).map(|s| chunk_value(s, c)).sum();
-            assert_eq!(*got, want, "unrepaired rank {r} chunk {c}");
-        }
-    }
-
-    // Quarantine node 2 (ranks 8..12): every survivor repairs its schedule
-    // and the repaired collective reduces over exactly the survivors.
-    let survivors: Vec<usize> = (0..ranks).filter(|r| topo.node_of(*r) != 2).collect();
-    let repaired: BTreeMap<usize, Schedule> = survivors
-        .iter()
-        .map(|&r| {
-            let sched = Schedule::repair_hierarchical_ring(r, &topo, &[2]);
-            (r, sched.expect("repair must succeed"))
-        })
-        .collect();
-    let rchunks = repaired[&0].chunks;
-    assert_eq!(rchunks, survivors.len(), "repaired chunk space is the surviving world");
-    let rinit: BTreeMap<usize, Vec<f64>> = survivors
-        .iter()
-        .map(|&r| (r, (0..rchunks).map(|c| chunk_value(r, c)).collect()))
-        .collect();
-    let rdone = interpret(&repaired, &rinit);
-    for &r in &survivors {
-        for (c, got) in rdone[&r].iter().enumerate() {
-            let want: f64 = survivors.iter().map(|&s| chunk_value(s, c)).sum();
-            assert_eq!(*got, want, "repaired rank {r} chunk {c}");
-        }
-        // The repaired schedule never routes through the quarantined node.
-        for step in &repaired[&r].steps {
-            for peer in step.incoming.iter().chain(&step.outgoing) {
-                assert_ne!(topo.node_of(*peer), 2, "rank {r} still routed via node 2");
-            }
-        }
-    }
-
-    // A rank on the quarantined node cannot route around itself: typed
-    // surrender, not a panic or a hang.
-    match Schedule::repair_hierarchical_ring(9, &topo, &[2]) {
-        Err(MpiError::Unrecoverable { rank, .. }) => assert_eq!(rank, 9),
-        other => panic!("expected Unrecoverable for a quarantined rank, got {other:?}"),
-    }
 }
 
 /// Satellite 1 — property: `FaultPlan` JSON round-trips exactly, for
