@@ -114,8 +114,9 @@ impl Pallreduce {
 
     /// `MPI_Wait`: progress the schedule (Algorithm 2) to completion.
     ///
-    /// With `WorldConfig::wait_watchdog_us` armed, a stalled schedule
-    /// surfaces [`MpiError::CollectiveTimeout`] instead of hanging.
+    /// With a watchdog armed (`FaultPlan::watchdog_us` in
+    /// `WorldConfig::faults`), a stalled schedule surfaces
+    /// [`MpiError::CollectiveTimeout`] instead of hanging.
     pub fn wait(&self, ctx: &mut Ctx) -> Result<(), MpiError> {
         self.engine.wait(ctx)
     }

@@ -28,7 +28,7 @@ use parcomm_sim::Mutex;
 
 use parcomm_core::{precv_init, psend_init, PrecvRequest, PsendRequest};
 use parcomm_gpu::{Buffer, CostModel, DeviceCtx, KernelSpec, Stream};
-use parcomm_mpi::{HookOutcome, MpiError, MpiInstruments, ProgressionEngine, Rank, RecoverConfig};
+use parcomm_mpi::{HookOutcome, MpiError, ProgressionEngine, Rank, WaitGuard};
 use parcomm_sim::{Ctx, SimDuration, SimTime, SpanId};
 
 use crate::schedule::{Schedule, StepOp};
@@ -83,16 +83,8 @@ struct EngineInner {
     progression: ProgressionEngine,
     /// This rank's index (typed-error diagnostics).
     rank: usize,
-    /// Armed Algorithm-2 watchdog (from the world config); `None` in
-    /// fault-free runs keeps the wait loop event-identical to the seed.
-    watchdog_us: Option<f64>,
-    /// Epoch-recovery policy (from the world config). When armed, a stall
-    /// escalates through lease check → host drain → channel replay before
-    /// the fatal timeout; `None` keeps the pre-recovery wait loop exactly.
-    recover: Option<RecoverConfig>,
-    /// MPI-layer instruments (watchdog arm/fire counters), if the world
-    /// has metrics enabled.
-    instruments: Option<MpiInstruments>,
+    /// The watchdog-and-recovery policy of the Algorithm-2 wait loop.
+    guard: Arc<WaitGuard>,
     /// The channel table: channels dense in ascending-peer order (the
     /// order `start`/`pbuf_prepare` iterate, and multi-peer schedules — the
     /// hierarchical ring has up to four neighbors — need deterministic for
@@ -233,9 +225,7 @@ impl CollectiveEngine {
                 cost: rank.gpu().cost().clone(),
                 progression: rank.progression().clone(),
                 rank: rank.rank(),
-                watchdog_us: rank.world().config().wait_watchdog_us,
-                recover: rank.world().config().recover.clone(),
-                instruments: rank.world().instruments(),
+                guard: rank.wait_guard().clone(),
                 send,
                 recv,
                 send_of_peer,
@@ -308,15 +298,17 @@ impl CollectiveEngine {
                 context: format!("collective pready: partition {u} out of range"),
             });
         }
-        {
-            let mut states = self.inner.states.lock();
-            let st = &mut states[u];
-            if st.active {
-                return Err(MpiError::InvalidArgument {
-                    context: format!("collective partition {u} marked ready twice"),
-                });
-            }
-            st.active = true;
+        self.activate(ctx, u)
+    }
+
+    /// Activate partition `u` (its host or device-drained `MPI_Pready`):
+    /// mark it active, issue its step-0 sends, and stage-and-send every
+    /// `early_stage` step's chunk.
+    fn activate(&self, ctx: &mut Ctx, u: usize) -> Result<(), MpiError> {
+        if std::mem::replace(&mut self.inner.states.lock()[u].active, true) {
+            return Err(MpiError::InvalidArgument {
+                context: format!("collective partition {u} marked ready twice"),
+            });
         }
         self.issue_step_sends(ctx, u, 0)?;
         for s in 0..self.inner.schedule.len() {
@@ -363,20 +355,10 @@ impl CollectiveEngine {
         loop {
             let u = { self.inner.pending_device.lock().pop_front() };
             let Some(u) = u else { break };
-            {
-                let mut states = self.inner.states.lock();
-                let st = &mut states[u];
-                assert!(!st.active, "collective partition {u} marked ready twice");
-                st.active = true;
-            }
             // Hook context cannot surface Results; channel state was
-            // validated when the collective epoch opened.
-            self.issue_step_sends(ctx, u, 0).expect("validated at start");
-            for s in 0..self.inner.schedule.len() {
-                if s != 0 && self.inner.schedule.steps[s].early_stage {
-                    self.stage_and_send(ctx, u, s).expect("validated at start");
-                }
-            }
+            // validated when the collective epoch opened, so only a
+            // partition marked ready twice can fail here.
+            self.activate(ctx, u).expect("device pready");
         }
         let mut active = self.inner.hook_active.lock();
         *active = false;
@@ -569,24 +551,18 @@ impl CollectiveEngine {
     /// than the timeout returns [`MpiError::CollectiveTimeout`] naming the
     /// stuck partition and step instead of spinning forever — the typed
     /// surface for lost arrivals (crashed peers, lost device flag writes).
-    /// With [`parcomm_mpi::WorldConfig::recover`] armed instead, a stall of
-    /// `detect_us` escalates through the recovery ladder before anything is
-    /// fatal: an expired progression-engine lease hands the pending device
-    /// notifications to this context (host-drain takeover — the crashed
-    /// rank keeps progressing its own collective), then every send
-    /// channel's undelivered transports are replayed under a fresh
-    /// generation. Only after `max_replays` fruitless rounds does the typed
-    /// [`MpiError::Unrecoverable`] surface.
+    /// With [`parcomm_mpi::WorldConfig::recover`] armed instead, each
+    /// `detect_us` stall climbs one rung of the recovery ladder
+    /// ([`WaitGuard::stalled`]): the host drains a dead engine's device
+    /// notifications (the crashed rank keeps progressing its own
+    /// collective) and every send channel replays its undelivered
+    /// transports.
     pub(crate) fn wait(&self, ctx: &mut Ctx) -> Result<(), MpiError> {
         let total = self.inner.schedule.len();
+        let guard = &self.inner.guard;
+        let bound = guard.arm_stall_bound();
         let mut stall_started: Option<SimTime> = None;
         let mut attempts = 0u32;
-        let detect_us = self.stall_bound_us();
-        if detect_us.is_some() {
-            if let Some(ins) = &self.inner.instruments {
-                ins.watchdog_arms.inc();
-            }
-        }
         loop {
             let progressed = self.sweep(ctx)?;
             let all_done = {
@@ -599,55 +575,33 @@ impl CollectiveEngine {
             if progressed {
                 stall_started = None;
             } else {
-                if let Some(timeout_us) = detect_us {
+                if let Some(bound) = bound {
                     let t0 = *stall_started.get_or_insert(ctx.now());
-                    if ctx.now().since(t0).as_micros_f64() >= timeout_us {
-                        match &self.inner.recover {
-                            None => {
-                                if let Some(ins) = &self.inner.instruments {
-                                    ins.watchdog_fires.inc();
-                                }
-                                return Err(self.stall_error(timeout_us, total));
-                            }
-                            Some(rc) => {
-                                if attempts >= rc.max_replays {
-                                    if let Some(ins) = &self.inner.instruments {
-                                        ins.watchdog_fires.inc();
-                                    }
-                                    let diag = self.stall_error(timeout_us, total);
-                                    return Err(MpiError::Unrecoverable {
-                                        rank: self.inner.rank,
-                                        context: format!("collective epoch: {diag}"),
-                                        attempts,
-                                    });
-                                }
-                                attempts += 1;
-                                if self
-                                    .inner
-                                    .progression
-                                    .lease_expired(ctx.now(), rc.lease_us)
-                                {
-                                    if let Some(ins) = &self.inner.instruments {
-                                        ins.recover_lease_expired.inc();
-                                        ins.recover_host_drains.inc();
-                                    }
-                                    // Host takeover of the dead PE's queue:
-                                    // activates any partitions whose device
-                                    // readiness was never drained. The queue
-                                    // pop is the exactly-once point.
-                                    self.drain_device(ctx);
-                                }
+                    if ctx.now().since(t0).as_micros_f64() >= bound {
+                        // Host takeover of a dead PE's queue activates any
+                        // partitions whose device readiness was never
+                        // drained; the queue pop is the exactly-once point.
+                        guard.stalled(
+                            ctx,
+                            &mut attempts,
+                            "collective epoch",
+                            self.stall_error(bound, total),
+                            |ctx| {
+                                self.drain_device(ctx);
+                                true
+                            },
+                            |ctx| {
                                 for ch in &self.inner.send {
                                     ch.sreq.recover_epoch(ctx);
                                 }
-                                stall_started = None;
-                            }
-                        }
+                            },
+                        )?;
+                        stall_started = None;
                     }
                 }
                 // Block until any new arrival on any receive channel (or a
                 // short poll if a device-side pready is still in flight).
-                self.wait_any_arrival(ctx);
+                self.wait_any_arrival(ctx, bound);
             }
         }
         for ch in &self.inner.send {
@@ -657,16 +611,6 @@ impl CollectiveEngine {
             ch.rreq.wait(ctx)?;
         }
         Ok(())
-    }
-
-    /// The stall-detection bound for the wait loop: the recovery policy's
-    /// `detect_us` when armed (capped by the fatal watchdog, if both are
-    /// set), else the watchdog alone, else unbounded.
-    fn stall_bound_us(&self) -> Option<f64> {
-        match (&self.inner.recover, self.inner.watchdog_us) {
-            (Some(rc), w) => Some(rc.detect_us.min(w.unwrap_or(f64::INFINITY))),
-            (None, w) => w,
-        }
     }
 
     /// Build the [`MpiError::CollectiveTimeout`] for the current stall:
@@ -707,7 +651,7 @@ impl CollectiveEngine {
     }
 
     /// Block until an arrival count changes anywhere (poll-style backstop
-    /// for multi-channel waiting). With the watchdog armed, the block is
+    /// for multi-channel waiting). Under a stall bound, the block is
     /// bounded so the stall check in [`CollectiveEngine::wait`] re-runs.
     ///
     /// Blocking on the receive channel's arrival event is only sound when
@@ -718,7 +662,7 @@ impl CollectiveEngine {
     /// nothing — blocking on its sole receive channel (the final unfold
     /// step) would park the rank for a full watchdog period while its
     /// outgoing work sits unissued. Such schedules poll instead.
-    fn wait_any_arrival(&self, ctx: &mut Ctx) {
+    fn wait_any_arrival(&self, ctx: &mut Ctx, bound_us: Option<f64>) {
         let arrival_driven =
             self.inner.schedule.steps.iter().all(|st| !st.incoming.is_empty());
         if arrival_driven && self.inner.recv.len() == 1 {
@@ -729,16 +673,7 @@ impl CollectiveEngine {
             // channel's slot count).
             let target = (current + 1).min(ch.rreq.user_partitions() as u64);
             if current < target {
-                match self.stall_bound_us() {
-                    None => ctx.wait_count(&ev, target),
-                    Some(timeout_us) => {
-                        let _ = ctx.wait_count_timeout(
-                            &ev,
-                            target,
-                            SimDuration::from_micros_f64(timeout_us),
-                        );
-                    }
-                }
+                self.inner.guard.wait_within(ctx, &ev, target, bound_us);
             } else {
                 ctx.advance(SimDuration::from_micros_f64(self.inner.cost.progress_poll_us));
             }

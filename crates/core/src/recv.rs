@@ -13,11 +13,11 @@ use std::sync::Arc;
 use parcomm_sim::Mutex;
 
 use parcomm_gpu::{Buffer, CostModel, MemSpace};
-use parcomm_mpi::{CopyMechanism, MpiError, MpiWorld, Rank};
+use parcomm_mpi::{CopyMechanism, MpiError, MpiWorld, Rank, WaitGuard};
 use parcomm_net::RouteClass;
 use parcomm_shmem::ShmemError;
 use parcomm_sim::{CountEvent, Ctx, SimDuration};
-use parcomm_ucx::{AmMessage, Endpoint, Worker};
+use parcomm_ucx::{Endpoint, Worker};
 
 use crate::channel::{
     am_tag, Channel, ReadyToReceive, ReceiverSetup, SenderSetup, ShmemReceiverSetup,
@@ -46,6 +46,8 @@ pub(crate) struct RecvState {
 pub(crate) struct PrecvShared {
     pub world: MpiWorld,
     pub worker: Worker,
+    /// The watchdog policy of this channel's blocking waits (the rank's).
+    pub guard: Arc<WaitGuard>,
     pub cost: CostModel,
     pub overheads: ApiOverheads,
     pub my_rank: usize,
@@ -104,6 +106,7 @@ pub fn precv_init(
         inner: Arc::new(PrecvShared {
             world: rank.world().clone(),
             worker: rank.worker().clone(),
+            guard: rank.wait_guard().clone(),
             cost: rank.gpu().cost().clone(),
             overheads,
             my_rank: rank.rank(),
@@ -221,7 +224,9 @@ impl PrecvRequest {
             };
             ctx.advance(ApiOverheads::sample(ctx, o));
             let setup_tag = am_tag(Channel::Setup, inner.tag, inner.src, inner.my_rank);
-            let msg = inner.recv_handshake(ctx, setup_tag, "sender setup")?;
+            let msg = inner.guard.am_recv(ctx, &inner.worker, setup_tag, || {
+                format!("precv sender setup (src {})", inner.src)
+            })?;
             let ss = msg.payload.downcast::<SenderSetup>().expect("setup payload type mismatch");
             if ss.user_partitions != inner.user_partitions {
                 return Err(MpiError::InvalidArgument {
@@ -339,7 +344,10 @@ impl PrecvRequest {
     /// flight). Honors the wait watchdog like [`PrecvRequest::wait`].
     pub fn wait_arrivals(&self, ctx: &mut Ctx, n: u64) -> Result<(), MpiError> {
         let target = n.min(self.inner.user_partitions as u64);
-        self.inner.wait_arrived(ctx, target, "partial partition arrival")
+        let inner = &self.inner;
+        inner.guard.wait_count(ctx, &inner.arrived, target, || {
+            format!("precv partial partition arrival (src {})", inner.src)
+        })
     }
 
     /// `MPI_Wait` (receiver side): block until every user partition of the
@@ -348,7 +356,7 @@ impl PrecvRequest {
     /// (paper: "we issue a memory copy to the device in `MPI_Wait` as
     /// partitions arrive").
     ///
-    /// With [`parcomm_mpi::WorldConfig::wait_watchdog_us`] armed, a stalled
+    /// With a watchdog armed ([`parcomm_mpi::FaultPlan::watchdog_us`]), a stalled
     /// epoch — lost device flag write, crashed sender-side progression
     /// engine, dropped control message — returns
     /// [`MpiError::WaitTimeout`] instead of hanging the simulation.
@@ -361,7 +369,10 @@ impl PrecvRequest {
                 });
             }
         }
-        self.inner.wait_arrived(ctx, self.inner.user_partitions as u64, "partition arrival")?;
+        let inner = &self.inner;
+        inner.guard.wait_count(ctx, &inner.arrived, inner.user_partitions as u64, || {
+            format!("precv partition arrival (src {})", inner.src)
+        })?;
         let mirror = self.inner.state.lock().device_mirror.clone();
         if let Some(m) = mirror {
             // Host→device copy of the flag words over C2C.
@@ -428,45 +439,6 @@ impl PrecvShared {
         let data_off = heap.bind(self.my_rank, &self.buffer)?;
         let flag_off = heap.bind(self.my_rank, &self.flags)?;
         Ok((data_off, flag_off))
-    }
-
-    /// Handshake receive honoring the wait watchdog: without one armed this
-    /// is exactly the seed's unbounded `am_recv`; with one armed, a dead
-    /// peer surfaces a typed timeout instead of parking this rank forever.
-    fn recv_handshake(&self, ctx: &mut Ctx, tag: u64, what: &str) -> Result<AmMessage, MpiError> {
-        match self.world.config().wait_watchdog_us {
-            None => Ok(self.worker.am_recv(ctx, tag)),
-            Some(t) => self
-                .worker
-                .am_recv_timeout(ctx, tag, SimDuration::from_micros_f64(t))
-                .ok_or_else(|| MpiError::WaitTimeout {
-                    rank: self.my_rank,
-                    context: format!("precv {what} (src {})", self.src),
-                    completed: 0,
-                    expected: 1,
-                    timeout_us: t,
-                }),
-        }
-    }
-
-    /// Wait for `target` arrivals, honoring the world's wait watchdog.
-    fn wait_arrived(&self, ctx: &mut Ctx, target: u64, what: &str) -> Result<(), MpiError> {
-        match self.world.config().wait_watchdog_us {
-            None => ctx.wait_count(&self.arrived, target),
-            Some(timeout_us) => {
-                let dt = SimDuration::from_micros_f64(timeout_us);
-                if !ctx.wait_count_timeout(&self.arrived, target, dt) {
-                    return Err(MpiError::WaitTimeout {
-                        rank: self.my_rank,
-                        context: format!("precv {what} (src {})", self.src),
-                        completed: self.arrived.count(),
-                        expected: target,
-                        timeout_us,
-                    });
-                }
-            }
-        }
-        Ok(())
     }
 }
 

@@ -26,10 +26,12 @@ use std::sync::Arc;
 use parcomm_sim::Mutex;
 
 use parcomm_gpu::{Buffer, CostModel, MemSpace};
-use parcomm_mpi::{chunk_range, CopyMechanism, MpiError, MpiWorld, ProgressionEngine, Rank};
+use parcomm_mpi::{
+    chunk_range, CopyMechanism, MpiError, MpiWorld, ProgressionEngine, Rank, WaitGuard,
+};
 use parcomm_shmem::ShmemError;
 use parcomm_sim::{CountEvent, Ctx, SimDuration, SimHandle, SimTime, SpanId};
-use parcomm_ucx::{AmMessage, Endpoint, PutAttr, PutHandle, RKey, Worker, MAX_STRIPES};
+use parcomm_ucx::{Endpoint, PutAttr, PutHandle, RKey, Worker, MAX_STRIPES};
 
 use crate::channel::{
     am_tag, Channel, ReadyToReceive, ReceiverSetup, SenderSetup, ShmemReceiverSetup,
@@ -100,6 +102,9 @@ pub(crate) struct PsendShared {
     pub world: MpiWorld,
     pub worker: Worker,
     pub progression: ProgressionEngine,
+    /// The watchdog-and-recovery policy of this channel's blocking waits
+    /// (the rank's).
+    pub guard: Arc<WaitGuard>,
     pub cost: CostModel,
     pub overheads: ApiOverheads,
     pub my_rank: usize,
@@ -205,6 +210,7 @@ pub fn psend_init(
             world: rank.world().clone(),
             worker: rank.worker().clone(),
             progression: rank.progression().clone(),
+            guard: rank.wait_guard().clone(),
             cost: rank.gpu().cost().clone(),
             overheads,
             my_rank: rank.rank(),
@@ -405,7 +411,9 @@ impl PsendRequest {
             };
             ctx.advance(ApiOverheads::sample(ctx, o));
             let reply_tag = am_tag(Channel::SetupReply, self.inner.tag, self.inner.my_rank, self.inner.dest);
-            let msg = self.recv_handshake(ctx, reply_tag, "setup reply")?;
+            let msg = self.inner.guard.am_recv(ctx, &self.inner.worker, reply_tag, || {
+                format!("psend setup reply (dst {})", self.inner.dest)
+            })?;
             // The receiver decides the mechanism and its reply *type* is the
             // verdict: a shmem reply carries two symmetric offsets instead
             // of packed rkeys. Try the shmem shape first; a mismatch hands
@@ -463,7 +471,9 @@ impl PsendRequest {
         } else {
             ctx.advance(ApiOverheads::sample(ctx, self.inner.overheads.pbuf_prepare_steady));
             let rtr_tag = am_tag(Channel::ReadyToReceive, self.inner.tag, self.inner.my_rank, self.inner.dest);
-            let msg = self.recv_handshake(ctx, rtr_tag, "ready-to-receive")?;
+            let msg = self.inner.guard.am_recv(ctx, &self.inner.worker, rtr_tag, || {
+                format!("psend ready-to-receive (dst {})", self.inner.dest)
+            })?;
             let rtr = msg.payload.downcast::<ReadyToReceive>().expect("RTR payload type mismatch");
             if rtr.epoch != epoch {
                 return Err(MpiError::InvalidArgument {
@@ -516,19 +526,17 @@ impl PsendRequest {
     /// `MPI_Wait` (sender side): block until every transport partition of
     /// the current epoch is delivered, then close the epoch.
     ///
-    /// With [`parcomm_mpi::WorldConfig::wait_watchdog_us`] armed, a stalled
-    /// epoch returns a typed error instead of blocking forever: a failed put
+    /// With a watchdog armed ([`parcomm_mpi::FaultPlan::watchdog_us`] in
+    /// [`parcomm_mpi::WorldConfig::faults`]), a stalled epoch returns a
+    /// typed error instead of blocking forever: a failed put
     /// surfaces as [`MpiError::Transport`], a crashed progression engine as
     /// [`MpiError::ProgressionHalted`], anything else as
     /// [`MpiError::WaitTimeout`].
     ///
-    /// With [`parcomm_mpi::WorldConfig::recover`] enabled, a stall instead
-    /// escalates through the recovery ladder every `detect_us`: if the
-    /// progression engine's lease has expired, its pending device
-    /// notifications are drained from this context; then the epoch's
-    /// undelivered transports are replayed under a fresh generation. Only
-    /// after `max_replays` fruitless rounds does the typed
-    /// [`MpiError::Unrecoverable`] surface.
+    /// With [`parcomm_mpi::WorldConfig::recover`] enabled, each
+    /// `detect_us` stall instead climbs one rung of the recovery ladder
+    /// ([`WaitGuard::stalled`]): host drain of a dead engine's device
+    /// notifications, then replay of the undelivered transports.
     pub fn wait(&self, ctx: &mut Ctx) -> Result<(), MpiError> {
         let t = {
             let st = self.inner.state.lock();
@@ -539,58 +547,21 @@ impl PsendRequest {
             }
             st.transport_partitions as u64
         };
-        let recover = self.inner.world.config().recover.clone();
-        match (recover, self.inner.world.config().wait_watchdog_us) {
-            (None, None) => ctx.wait_count(&self.inner.transport_complete, t),
-            (None, Some(timeout_us)) => {
-                let instruments = self.inner.world.instruments();
-                if let Some(ins) = &instruments {
-                    ins.watchdog_arms.inc();
-                }
-                let dt = SimDuration::from_micros_f64(timeout_us);
-                if !ctx.wait_count_timeout(&self.inner.transport_complete, t, dt) {
-                    if let Some(ins) = &instruments {
-                        ins.watchdog_fires.inc();
-                    }
-                    return Err(self.inner.diagnose_stall(timeout_us, t));
-                }
-            }
-            (Some(rc), watchdog_us) => {
-                let instruments = self.inner.world.instruments();
-                let detect_us = rc.detect_us.min(watchdog_us.unwrap_or(f64::INFINITY));
-                let dt = SimDuration::from_micros_f64(detect_us);
-                let mut attempts = 0u32;
-                loop {
-                    if let Some(ins) = &instruments {
-                        ins.watchdog_arms.inc();
-                    }
-                    if ctx.wait_count_timeout(&self.inner.transport_complete, t, dt) {
-                        break;
-                    }
-                    if let Some(ins) = &instruments {
-                        ins.watchdog_fires.inc();
-                    }
-                    if attempts >= rc.max_replays {
-                        let diag = self.inner.diagnose_stall(detect_us, t);
-                        return Err(MpiError::Unrecoverable {
-                            rank: self.inner.my_rank,
-                            context: format!(
-                                "psend transport completion (dst {}): {diag}",
-                                self.inner.dest
-                            ),
-                            attempts,
-                        });
-                    }
-                    attempts += 1;
-                    if self.inner.progression.lease_expired(ctx.now(), rc.lease_us) {
-                        if let Some(ins) = &instruments {
-                            ins.recover_lease_expired.inc();
-                        }
-                        self.inner.host_drain_device(ctx);
-                    }
-                    self.inner.recover_epoch(ctx);
-                }
-            }
+        let inner = &self.inner;
+        let bound = inner.guard.arm_stall_bound();
+        let mut attempts = 0u32;
+        while !inner.guard.wait_within(ctx, &inner.transport_complete, t, bound) {
+            let bound = bound.expect("only a bounded wait expires");
+            inner.guard.stalled(
+                ctx,
+                &mut attempts,
+                &format!("psend transport completion (dst {})", inner.dest),
+                inner.diagnose_stall(bound, t),
+                |ctx| inner.host_drain_device(ctx),
+                |ctx| {
+                    inner.recover_epoch(ctx);
+                },
+            )?;
         }
         self.inner.state.lock().started = false;
         Ok(())
@@ -635,39 +606,6 @@ impl PsendRequest {
     }
 }
 
-impl PsendRequest {
-    /// Handshake receive honoring the wait watchdog: without one armed this
-    /// is exactly the seed's unbounded `am_recv` (zero extra events); with
-    /// one armed, a dead peer surfaces a typed timeout instead of parking
-    /// this rank forever.
-    fn recv_handshake(&self, ctx: &mut Ctx, tag: u64, what: &str) -> Result<AmMessage, MpiError> {
-        match self.inner.world.config().wait_watchdog_us {
-            None => Ok(self.inner.worker.am_recv(ctx, tag)),
-            Some(t) => {
-                let instruments = self.inner.world.instruments();
-                if let Some(ins) = &instruments {
-                    ins.watchdog_arms.inc();
-                }
-                self.inner
-                    .worker
-                    .am_recv_timeout(ctx, tag, SimDuration::from_micros_f64(t))
-                    .ok_or_else(|| {
-                        if let Some(ins) = &instruments {
-                            ins.watchdog_fires.inc();
-                        }
-                        MpiError::WaitTimeout {
-                            rank: self.inner.my_rank,
-                            context: format!("psend {what} (dst {})", self.inner.dest),
-                            completed: 0,
-                            expected: 1,
-                            timeout_us: t,
-                        }
-                    })
-            }
-        }
-    }
-}
-
 impl PsendShared {
     /// Watchdog expiry triage, most-specific first: a settled put failure
     /// (transport gave up after retries), a crashed progression engine, then
@@ -693,16 +631,14 @@ impl PsendShared {
     }
 
     /// Host-drain takeover: run the registered device-notification drain (if
-    /// the device path is in use) from the calling context. Exactly-once is
-    /// guaranteed by the shared queue the drain pops from.
-    pub(crate) fn host_drain_device(&self, ctx: &mut Ctx) {
+    /// the device path is in use) from the calling context, returning
+    /// whether there was one. Exactly-once is guaranteed by the shared queue
+    /// the drain pops from.
+    fn host_drain_device(&self, ctx: &mut Ctx) -> bool {
         let mut slot = self.device_drain.lock();
-        if let Some(drain) = slot.as_mut() {
-            if let Some(ins) = self.world.instruments() {
-                ins.recover_host_drains.inc();
-            }
-            drain(ctx);
-        }
+        let Some(drain) = slot.as_mut() else { return false };
+        drain(ctx);
+        true
     }
 
     /// Replay the epoch's undelivered transports under a fresh generation;

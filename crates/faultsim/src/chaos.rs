@@ -70,7 +70,7 @@ where
 }
 
 /// [`run_world`] with an extra hook mutating the [`WorldConfig`] after the
-/// fault plan is applied — the entry point for world-level knobs (stripe
+/// fault plan is set — the entry point for world-level knobs (stripe
 /// count above all) that are not part of the fault plan itself.
 pub fn run_world_with<C, F>(
     seed: u64,
@@ -105,8 +105,7 @@ where
     let mut sim = Simulation::with_seed(seed);
     let trace = sim.trace();
     trace.enable();
-    let mut cfg = WorldConfig::gh200(nodes);
-    plan.apply(&mut cfg);
+    let mut cfg = WorldConfig { faults: plan.clone(), ..WorldConfig::gh200(nodes) };
     configure(&mut cfg);
     let world = MpiWorld::new(&sim, cfg);
     let registry = world.enable_metrics();

@@ -33,6 +33,8 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 use parcomm_core::CopyMechanism;
+use parcomm_gpu::EmissionFaultConfig;
+use parcomm_net::{NetFaultConfig, Topology};
 use parcomm_obs::json::JsonValue;
 use parcomm_sim::SimRng;
 use parcomm_sweep::{CellValue, JsonlSink, SweepSpec};
@@ -680,7 +682,7 @@ fn synthesize(classes: &[FaultClass], rng: &mut SimRng, cell: &Cell) -> FaultPla
         // open the window inside that band so the outage meets traffic.
         // Multiplexed cells put their cross-node puts near the end of the
         // horizon, so the window opens later and spans most of the run.
-        let node = (rng.uniform_range(0, nodes as u64)) as u16;
+        let node = draw_multi_rail_node(&topo, nodes, rng);
         let nic = rng.uniform_range(0, topo.nics_on(node) as u64) as u8;
         let (from, until) = if channels > 1 {
             let from = (0.05 + 0.35 * rng.uniform()) * horizon;
@@ -698,11 +700,7 @@ fn synthesize(classes: &[FaultClass], rng: &mut SimRng, cell: &Cell) -> FaultPla
         // not a recovery target — and before the last cross-node put
         // (see MULTI_NIC_OPEN_US), and ends inside the stall-detection
         // horizon so epoch replay lands.
-        // All rails dark must still *classify* as a multi-NIC outage, so
-        // the draw is over nodes with at least two rails (on the uniform
-        // shape that is every node, keeping the historical draw sequence).
-        let multi: Vec<u16> = (0..nodes).filter(|&v| topo.nics_on(v) >= 2).collect();
-        let node = multi[rng.uniform_range(0, multi.len() as u64) as usize];
+        let node = draw_multi_rail_node(&topo, nodes, rng);
         let from = MULTI_NIC_OPEN_US.0 + MULTI_NIC_OPEN_US.1 * rng.uniform();
         let until = 8_000.0 + 4_000.0 * rng.uniform();
         for nic in 0..topo.nics_on(node) {
@@ -764,6 +762,15 @@ fn synthesize(classes: &[FaultClass], rng: &mut SimRng, cell: &Cell) -> FaultPla
         plan = plan.with_lost_shmem_signals(1, 1);
     }
     plan
+}
+
+/// Draw a node with at least two NIC rails for an outage: on a one-NIC node
+/// a single outage darkens the whole node yet classifies as a recoverable
+/// single-NIC outage, and an all-rails one is not multi-NIC. Every uniform
+/// node qualifies, so the uniform draw sequence is unchanged.
+fn draw_multi_rail_node(topo: &Topology, nodes: u16, rng: &mut SimRng) -> u16 {
+    let multi: Vec<u16> = (0..nodes).filter(|&v| topo.nics_on(v) >= 2).collect();
+    multi[rng.uniform_range(0, multi.len() as u64) as usize]
 }
 
 /// The classes `(mechanism, channels)` can actually exercise: shmem-signal
@@ -1036,8 +1043,12 @@ fn minimize(
     };
     let reason =
         format!("target {}: {violation} (expected {:?})", failed.target, failed.expectation);
-    let (minimal_plan, reason, shrink_steps) =
-        shrink_failure(failed.plan.clone(), reason, cfg.max_shrink_steps, &eval);
+    let (ShrinkPlan(minimal_plan), reason, shrink_steps) = shrink_failure(
+        ShrinkPlan(failed.plan.clone()),
+        reason,
+        cfg.max_shrink_steps,
+        &|p: &ShrinkPlan| eval(&p.0),
+    );
     MinimizedFailure {
         target: failed.target.clone(),
         cell: cfg.cell_for(&minimal_plan, failed.stripes),
@@ -1060,95 +1071,75 @@ fn fnv(bytes: &[u8]) -> u64 {
 /// watchdog is kept so shrunk candidates stay bounded): drop the whole net
 /// config, zero one probability, drop outages or per-rank entries. Every
 /// candidate has strictly fewer active fault knobs, so the greedy descent
-/// terminates.
-impl Shrink for FaultPlan {
+/// terminates. (A newtype: the plan and the trait live in other crates.)
+#[derive(Clone, Debug, PartialEq)]
+struct ShrinkPlan(FaultPlan);
+
+/// A plan's per-rank flag-write or shmem-signal fault list.
+type EmissionList = Vec<(usize, EmissionFaultConfig)>;
+
+impl Shrink for ShrinkPlan {
     fn shrink(&self) -> Vec<Self> {
+        let plan = &self.0;
         let mut out = Vec::new();
-        if let Some(net) = &self.net {
-            let mut p = self.clone();
-            p.net = None;
-            out.push(p);
-            if net.drop_prob > 0.0 {
-                let mut p = self.clone();
-                p.net.as_mut().expect("checked").drop_prob = 0.0;
-                out.push(p);
+        // One candidate: the plan with one edit applied.
+        let mut edit = |f: &dyn Fn(&mut FaultPlan)| {
+            let mut p = plan.clone();
+            f(&mut p);
+            out.push(ShrinkPlan(p));
+        };
+        let net: fn(&mut FaultPlan) -> &mut NetFaultConfig = |p| p.net.as_mut().expect("checked");
+        if let Some(cfg) = &plan.net {
+            edit(&|p| p.net = None);
+            if cfg.drop_prob > 0.0 {
+                edit(&|p| net(p).drop_prob = 0.0);
             }
-            if net.spike_prob > 0.0 {
-                let mut p = self.clone();
-                p.net.as_mut().expect("checked").spike_prob = 0.0;
-                out.push(p);
+            if cfg.spike_prob > 0.0 {
+                edit(&|p| net(p).spike_prob = 0.0);
             }
-            if !net.nic_outages.is_empty() {
-                let mut p = self.clone();
-                p.net.as_mut().expect("checked").nic_outages.clear();
-                out.push(p);
-                if net.nic_outages.len() > 1 {
-                    for i in 0..net.nic_outages.len() {
-                        let mut p = self.clone();
-                        p.net.as_mut().expect("checked").nic_outages.remove(i);
-                        out.push(p);
+            if !cfg.nic_outages.is_empty() {
+                edit(&|p| net(p).nic_outages.clear());
+                if cfg.nic_outages.len() > 1 {
+                    for i in 0..cfg.nic_outages.len() {
+                        edit(&|p| {
+                            net(p).nic_outages.remove(i);
+                        });
                     }
                 }
             }
         }
-        if !self.pe.is_empty() {
-            let mut p = self.clone();
-            p.pe.clear();
-            out.push(p);
-            for i in 0..self.pe.len() {
-                if self.pe[i].1.stall_us > 0.0 {
-                    let mut p = self.clone();
-                    p.pe[i].1.stall_us = 0.0;
-                    out.push(p);
+        if !plan.pe.is_empty() {
+            edit(&|p| p.pe.clear());
+            for (i, (_, f)) in plan.pe.iter().enumerate() {
+                if f.stall_us > 0.0 {
+                    edit(&|p| p.pe[i].1.stall_us = 0.0);
                 }
-                if self.pe[i].1.crash_at_us.is_some() {
-                    let mut p = self.clone();
-                    p.pe[i].1.crash_at_us = None;
-                    out.push(p);
+                if f.crash_at_us.is_some() {
+                    edit(&|p| p.pe[i].1.crash_at_us = None);
                 }
             }
         }
-        if !self.flags.is_empty() {
-            let mut p = self.clone();
-            p.flags.clear();
-            out.push(p);
-            for i in 0..self.flags.len() {
-                if self.flags[i].1.delay_every > 0 {
-                    let mut p = self.clone();
-                    p.flags[i].1.delay_every = 0;
-                    out.push(p);
+        let emission_lists: [fn(&mut FaultPlan) -> &mut EmissionList; 2] =
+            [|p| &mut p.flags, |p| &mut p.shmem_signals];
+        for list in emission_lists {
+            let entries = list(&mut plan.clone()).clone();
+            if !entries.is_empty() {
+                edit(&|p| list(p).clear());
+            }
+            for (i, (_, f)) in entries.iter().enumerate() {
+                if f.delay_every > 0 {
+                    edit(&|p| list(p)[i].1.delay_every = 0);
                 }
-                if self.flags[i].1.lose_every > 0 {
-                    let mut p = self.clone();
-                    p.flags[i].1.lose_every = 0;
-                    out.push(p);
+                if f.lose_every > 0 {
+                    edit(&|p| list(p)[i].1.lose_every = 0);
                 }
             }
         }
-        if !self.shmem_signals.is_empty() {
-            let mut p = self.clone();
-            p.shmem_signals.clear();
-            out.push(p);
-            for i in 0..self.shmem_signals.len() {
-                if self.shmem_signals[i].1.delay_every > 0 {
-                    let mut p = self.clone();
-                    p.shmem_signals[i].1.delay_every = 0;
-                    out.push(p);
-                }
-                if self.shmem_signals[i].1.lose_every > 0 {
-                    let mut p = self.clone();
-                    p.shmem_signals[i].1.lose_every = 0;
-                    out.push(p);
-                }
-            }
-        }
-        if !self.shmem_heap_fail.is_empty() {
-            let mut p = self.clone();
-            p.shmem_heap_fail.clear();
-            out.push(p);
+        if !plan.shmem_heap_fail.is_empty() {
+            edit(&|p| p.shmem_heap_fail.clear());
         }
         // Prune structurally-empty fault configs left by the zeroing steps.
-        out.retain(|p| p != self);
+        out.retain(|p| p.0 != *plan);
         out
     }
 }
@@ -1250,6 +1241,7 @@ mod tests {
                 let plan = synthesize(&[FaultClass::NicOutage], &mut rng, &cell);
                 let outage = &plan.net.as_ref().expect("net faults").nic_outages[0];
                 assert!(outage.nic < topo.nics_on(outage.node), "NIC exists on shaped node");
+                assert!(topo.nics_on(outage.node) >= 2, "a single outage leaves a sibling rail");
                 let mut rng = SimRng::seeded(seed);
                 let plan = synthesize(&[FaultClass::MultiNicOutage], &mut rng, &cell);
                 assert_eq!(classes_of(&plan), vec![FaultClass::MultiNicOutage]);
@@ -1318,9 +1310,9 @@ mod tests {
             &mut SimRng::seeded(3),
             &Cell::allreduce(2),
         );
-        let candidates = plan.shrink();
+        let candidates = ShrinkPlan(plan.clone()).shrink();
         assert!(!candidates.is_empty());
-        for c in &candidates {
+        for ShrinkPlan(c) in &candidates {
             assert_ne!(c, &plan, "candidates must differ from the input");
             assert!(
                 coverage_points(c).len() < coverage_points(&plan).len()
@@ -1332,7 +1324,7 @@ mod tests {
         }
         // A fully-shrunk plan bottoms out at watchdog-only.
         let empty = FaultPlan::none().with_watchdog(1e6);
-        assert!(empty.shrink().is_empty(), "nothing left to shrink");
+        assert!(ShrinkPlan(empty).shrink().is_empty(), "nothing left to shrink");
     }
 
     /// The campaign cell at each recovery setting, mechanism and workload.

@@ -63,12 +63,10 @@
 
 pub mod chaos;
 pub mod coverage;
-mod plan;
 
 pub use chaos::{Cell, TopologyShape, Workload};
 pub use coverage::{
     CampaignError, Corpus, CoverageCampaignConfig, CoverageOutcome, CoverageReport, FaultClass,
     FaultLayer,
 };
-pub use parcomm_mpi::MpiError;
-pub use plan::{FaultPlan, PlanError};
+pub use parcomm_mpi::{FaultPlan, MpiError, PlanError};

@@ -323,3 +323,65 @@ fn chaos_campaign_report_is_thread_count_invariant() {
     assert_eq!(render(2), serial);
     assert_eq!(render(8), serial);
 }
+
+/// The receive side's watchdog waits follow the one counting rule: a
+/// handshake timeout and an arrival timeout each arm the watchdog once and
+/// fire it once.
+#[test]
+fn precv_watchdog_timeouts_arm_and_fire() {
+    use parcomm_core::{precv_init, psend_init};
+    let plan = FaultPlan::none().with_watchdog(1_000.0);
+    let watchdog = |run: &chaos::ChaosRun| {
+        let c = |name| run.metrics.counter(name).unwrap_or(0);
+        (c("mpi.watchdog.arms"), c("mpi.watchdog.fires"))
+    };
+    // No sender ever ships its setup: the receiver's handshake times out.
+    let handshake = chaos::run_world(1, &plan, 1, |ctx, rank| {
+        if rank.rank() == 1 {
+            let buf = rank.gpu().alloc_global(4 * 64);
+            let rreq = precv_init(ctx, rank, 0, 9, &buf, 4)?;
+            rreq.start(ctx)?;
+            rreq.pbuf_prepare(ctx)?;
+        }
+        Ok(Vec::new())
+    });
+    assert!(
+        matches!(
+            &handshake.errors[..],
+            [(1, MpiError::WaitTimeout { context, .. })] if context == "precv sender setup (src 0)"
+        ),
+        "got {:?}",
+        handshake.errors
+    );
+    assert_eq!(watchdog(&handshake), (1, 1));
+    // The channel is set up but no partition is ever marked ready: the
+    // receiver's arrival wait times out. Both handshakes arm without firing.
+    let arrival = chaos::run_world(1, &plan, 1, |ctx, rank| {
+        let buf = rank.gpu().alloc_global(4 * 64);
+        match rank.rank() {
+            0 => {
+                let sreq = psend_init(ctx, rank, 1, 9, &buf, 4)?;
+                sreq.start(ctx)?;
+                sreq.pbuf_prepare(ctx)?;
+            }
+            1 => {
+                let rreq = precv_init(ctx, rank, 0, 9, &buf, 4)?;
+                rreq.start(ctx)?;
+                rreq.pbuf_prepare(ctx)?;
+                rreq.wait(ctx)?;
+            }
+            _ => {}
+        }
+        Ok(Vec::new())
+    });
+    assert!(
+        matches!(
+            &arrival.errors[..],
+            [(1, MpiError::WaitTimeout { context, completed: 0, expected: 4, .. })]
+                if context == "precv partition arrival (src 0)"
+        ),
+        "got {:?}",
+        arrival.errors
+    );
+    assert_eq!(watchdog(&arrival), (3, 1));
+}

@@ -8,7 +8,8 @@ use parcomm_sim::{Mutex, SimHandle};
 use parcomm_obs::MetricsRegistry;
 
 use crate::cost::CostModel;
-use crate::faults::{EmissionFaultConfig, EmissionFaults};
+use crate::faults::{EmissionFaultConfig, EmissionFaultTable, EmissionFaults};
+use crate::kernel::EmissionKind;
 use crate::mem::{Buffer, Location, MemSpace, Unit};
 use crate::obs::GpuObs;
 use crate::stream::Stream;
@@ -39,12 +40,8 @@ struct GpuInner {
     id: GpuId,
     cost: CostModel,
     handle: SimHandle,
-    /// Armed emission fault schedule, shared with every stream of this GPU.
-    /// `None` (default) keeps the fault branch dormant.
-    emission_faults: Arc<Mutex<Option<EmissionFaults>>>,
-    /// Armed symmetric-heap signal fault schedule, independent of the
-    /// notification-flag schedule above.
-    shmem_faults: Arc<Mutex<Option<EmissionFaults>>>,
+    /// Armed emission fault schedules, shared with every stream of this GPU.
+    emission_faults: Arc<Mutex<EmissionFaultTable>>,
     /// Observability state (rank attribution + metrics), shared with every
     /// stream of this GPU. Inert until armed.
     obs: Arc<GpuObs>,
@@ -96,8 +93,7 @@ impl Gpu {
                 id,
                 cost,
                 handle,
-                emission_faults: Arc::new(Mutex::new(None)),
-                shmem_faults: Arc::new(Mutex::new(None)),
+                emission_faults: Arc::default(),
                 obs: Arc::new(GpuObs::default()),
             }),
         }
@@ -117,20 +113,14 @@ impl Gpu {
         self.inner.obs.attach(registry);
     }
 
-    /// Arm a deterministic emission fault schedule on this GPU: every N-th
-    /// kernel emission (device flag write) is delayed or lost across all of
-    /// the device's streams (existing and future). See [`EmissionFaultConfig`].
-    pub fn arm_emission_faults(&self, cfg: EmissionFaultConfig) {
-        *self.inner.emission_faults.lock() = Some(EmissionFaults::new(cfg));
-    }
-
-    /// Arm a deterministic fault schedule for this GPU's *symmetric-heap*
-    /// signal emissions (the shmem one-sided path): every N-th shmem
-    /// put/signal is delayed or lost across all streams. Independent of
-    /// [`arm_emission_faults`](Self::arm_emission_faults), so chaos
-    /// campaigns can target one copy mechanism without perturbing the other.
-    pub fn arm_shmem_signal_faults(&self, cfg: EmissionFaultConfig) {
-        *self.inner.shmem_faults.lock() = Some(EmissionFaults::new(cfg));
+    /// Arm a deterministic fault schedule for this GPU's `kind` emissions
+    /// (device flag writes, or symmetric-heap puts/signals): every N-th one
+    /// is delayed or lost across all of the device's streams (existing and
+    /// future). Each kind keeps its own schedule and counter, so chaos
+    /// campaigns can target one copy mechanism without perturbing the
+    /// other. See [`EmissionFaultConfig`].
+    pub fn arm_emission_faults(&self, kind: EmissionKind, cfg: EmissionFaultConfig) {
+        self.inner.emission_faults.lock()[kind as usize] = Some(EmissionFaults::new(cfg));
     }
 
     /// This GPU's identity.
@@ -169,7 +159,6 @@ impl Gpu {
             self.inner.handle.clone(),
             self.inner.id.to_string(),
             self.inner.emission_faults.clone(),
-            self.inner.shmem_faults.clone(),
             self.inner.obs.clone(),
         )
     }

@@ -46,7 +46,12 @@ pub(crate) enum EmissionFate {
     Lost,
 }
 
-/// Armed per-GPU fault state.
+/// A GPU's armed fault schedules, indexed by `EmissionKind` and shared by
+/// every stream of the device. An empty slot keeps that kind's fault branch
+/// dormant; each armed kind keeps its own counter.
+pub(crate) type EmissionFaultTable = [Option<EmissionFaults>; 2];
+
+/// Armed per-kind fault state.
 #[derive(Debug)]
 pub(crate) struct EmissionFaults {
     cfg: EmissionFaultConfig,

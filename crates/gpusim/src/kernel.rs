@@ -19,13 +19,11 @@ use parcomm_sim::{Event, SimDuration, SimHandle, SimTime, SpanId};
 use crate::cost::CostModel;
 
 /// What kind of device-visible side effect an emission is. The stream
-/// engine classifies each kind against its own fault schedule: pinned-host
-/// flag writes (the PE/KC notification path) against the flag schedule,
-/// symmetric-heap signals (the shmem one-sided path) against the shmem
-/// schedule — so chaos campaigns can fault one mechanism without touching
-/// the other.
+/// engine classifies each kind against its own fault schedule (see
+/// [`Gpu::arm_emission_faults`](crate::Gpu::arm_emission_faults)), so chaos
+/// campaigns can fault one mechanism without touching the other.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum EmissionKind {
+pub enum EmissionKind {
     /// A pinned-host notification-flag write (`MPIX_Pready` device flag).
     FlagWrite,
     /// A symmetric-heap one-sided put/signal emission.
@@ -194,9 +192,8 @@ impl<'a> DeviceCtx<'a> {
 
     /// Like [`at_offset_traced`](Self::at_offset_traced), but tagged as a
     /// symmetric-heap emission: the stream engine classifies it against the
-    /// GPU's *shmem* signal fault schedule
-    /// ([`Gpu::arm_shmem_signal_faults`](crate::Gpu::arm_shmem_signal_faults))
-    /// instead of the notification-flag schedule.
+    /// GPU's [`EmissionKind::Shmem`] fault schedule instead of the
+    /// notification-flag one.
     pub fn at_offset_shmem_traced(
         &mut self,
         offset: SimDuration,

@@ -25,6 +25,6 @@ mod stream;
 pub use cost::{AggLevel, CostModel};
 pub use device::{Gpu, GpuId, IpcError, IpcMappedBuffer};
 pub use faults::EmissionFaultConfig;
-pub use kernel::{DeviceCtx, KernelSpec, LaunchHandle};
+pub use kernel::{DeviceCtx, EmissionKind, KernelSpec, LaunchHandle};
 pub use mem::{Buffer, BufferId, Location, MemSpace, Unit};
 pub use stream::Stream;

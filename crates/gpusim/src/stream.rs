@@ -17,8 +17,8 @@ use parcomm_sim::Mutex;
 use parcomm_sim::{Ctx, Event, SimDuration, SimHandle, SimTime, SpanId};
 
 use crate::cost::CostModel;
-use crate::faults::{EmissionFate, EmissionFaults};
-use crate::kernel::{DeviceCtx, EmissionKind, KernelSpec, LaunchHandle};
+use crate::faults::{EmissionFate, EmissionFaultTable, EmissionFaults};
+use crate::kernel::{DeviceCtx, KernelSpec, LaunchHandle};
 use crate::obs::GpuObs;
 
 struct StreamState {
@@ -38,12 +38,9 @@ struct StreamInner {
     cost: CostModel,
     state: Mutex<StreamState>,
     gpu_name: String,
-    /// The owning GPU's notification-flag fault schedule (shared across its
+    /// The owning GPU's emission fault schedules (shared across its
     /// streams).
-    emission_faults: Arc<Mutex<Option<EmissionFaults>>>,
-    /// The owning GPU's symmetric-heap signal fault schedule, kept separate
-    /// so chaos campaigns can fault one mechanism without the other.
-    shmem_faults: Arc<Mutex<Option<EmissionFaults>>>,
+    emission_faults: Arc<Mutex<EmissionFaultTable>>,
     /// The owning GPU's observability state (rank attribution + metrics).
     obs: Arc<GpuObs>,
 }
@@ -53,8 +50,7 @@ impl Stream {
         cost: CostModel,
         handle: SimHandle,
         gpu_name: String,
-        emission_faults: Arc<Mutex<Option<EmissionFaults>>>,
-        shmem_faults: Arc<Mutex<Option<EmissionFaults>>>,
+        emission_faults: Arc<Mutex<EmissionFaultTable>>,
         obs: Arc<GpuObs>,
     ) -> Self {
         let tail_done = Event::new();
@@ -65,7 +61,6 @@ impl Stream {
                 state: Mutex::new(StreamState { busy_until: SimTime::ZERO, tail_done }),
                 gpu_name,
                 emission_faults,
-                shmem_faults,
                 obs,
             }),
         }
@@ -138,14 +133,9 @@ impl Stream {
                 "kernel '{}' emission at {offset} beyond its window {duration}",
                 spec.name
             );
-            let schedule = match kind {
-                EmissionKind::FlagWrite => &self.inner.emission_faults,
-                EmissionKind::Shmem => &self.inner.shmem_faults,
-            };
-            let fate = match schedule.lock().as_mut() {
-                Some(f) => f.classify(),
-                None => EmissionFate::Normal,
-            };
+            let fate = self.inner.emission_faults.lock()[kind as usize]
+                .as_mut()
+                .map_or(EmissionFate::Normal, EmissionFaults::classify);
             match fate {
                 EmissionFate::Normal => {
                     h.schedule_at(start + offset, move |h| cb(h, span));

@@ -11,16 +11,20 @@
 
 mod coll;
 mod error;
+mod guard;
 mod mechanism;
 mod p2p;
 mod persistent;
+mod plan;
 mod progress;
 mod world;
 
 pub use coll::chunk_range;
 pub use error::MpiError;
+pub use guard::WaitGuard;
 pub use mechanism::CopyMechanism;
 pub use p2p::P2pOp;
 pub use persistent::PersistentRequest;
+pub use plan::{FaultPlan, PlanError};
 pub use progress::{HookOutcome, PeFaultConfig, ProgressionEngine};
 pub use world::{MpiInstruments, MpiWorld, Rank, RecoverConfig, RecoveryReport, WorldConfig};

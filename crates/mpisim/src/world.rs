@@ -9,28 +9,35 @@ use std::sync::Arc;
 
 use parcomm_sim::Mutex;
 
-use parcomm_gpu::{CostModel, EmissionFaultConfig, Gpu, GpuId, Location, Unit};
-use parcomm_net::{ClusterSpec, Fabric, NetFaultConfig, Topology};
+use parcomm_gpu::{CostModel, EmissionKind, Gpu, GpuId, Location, Unit};
+use parcomm_net::{ClusterSpec, Fabric, Topology};
 use parcomm_obs::{Counter, Histogram, MetricsRegistry, MetricsSnapshot};
 use parcomm_shmem::SymmetricHeap;
 use parcomm_sim::{Ctx, SimBarrier, SimDuration, Simulation};
 use parcomm_ucx::{UcxUniverse, Worker, WorkerAddress};
 
+use crate::guard::WaitGuard;
 use crate::mechanism::CopyMechanism;
 use crate::p2p::MatchTable;
-use crate::progress::{PeFaultConfig, ProgressionEngine};
+use crate::plan::{rank_entry, FaultPlan};
+use crate::progress::ProgressionEngine;
 
 /// MPI-layer instruments, shared by every rank's progression engine and the
-/// partitioned send/recv watchdogs. Cheap to clone; clones share counters.
+/// guarded partitioned waits. Cheap to clone; clones share counters.
+///
+/// The watchdog counters follow one rule at every [`crate::WaitGuard`]
+/// site (handshakes, send/receive waits, the collective): a bounded wait
+/// arms once when it starts timing and again after each recovery rung, and
+/// each expiry of its bound fires once.
 #[derive(Clone, Debug)]
 pub struct MpiInstruments {
     /// Progression-engine poll sweeps executed (all ranks).
     pub pe_polls: Counter,
     /// Individual hook invocations across all sweeps.
     pub pe_hook_runs: Counter,
-    /// Blocking waits that armed a watchdog timer.
+    /// Bounded waits armed (initially and after each recovery rung).
     pub watchdog_arms: Counter,
-    /// Watchdog timers that fired (stall detected).
+    /// Wait bounds that expired (stall detected).
     pub watchdog_fires: Counter,
     /// log2-bucket latency (µs) from a partition's pready being processed
     /// (host `MPI_Pready` or progression-engine drain) to its receive-side
@@ -149,15 +156,10 @@ pub struct WorldConfig {
     pub mpi_overhead_us: f64,
     /// Progression-engine poll interval.
     pub progress_poll_us: f64,
-    /// Watchdog timeout (µs) armed on every blocking MPI wait. `None`
-    /// (the default) waits forever — zero extra events in fault-free runs.
-    pub wait_watchdog_us: Option<f64>,
-    /// Network fault schedule (drops / latency spikes / NIC outages).
-    pub net_faults: Option<NetFaultConfig>,
-    /// Per-rank progression-engine fault schedules.
-    pub pe_faults: Vec<(usize, PeFaultConfig)>,
-    /// Per-rank device flag-write (emission) fault schedules.
-    pub gpu_flag_faults: Vec<(usize, EmissionFaultConfig)>,
+    /// Every fault the run experiences, and the watchdog armed on blocking
+    /// MPI waits. [`FaultPlan::none`] (the default) injects nothing and
+    /// waits forever — zero extra events in fault-free runs.
+    pub faults: FaultPlan,
     /// Stripe count for cross-node partitioned data puts issued by the
     /// collective engine's channels: each data put splits into up to this
     /// many stripes routed concurrently over the NIC rails. `1` (the
@@ -178,13 +180,6 @@ pub struct WorldConfig {
     /// [`CopyMechanism::Shmem`] bind their buffers into it and exchange
     /// offsets instead of rkeys.
     pub shmem_heap_bytes: u64,
-    /// Per-rank shmem signal-emission fault schedules (delayed / lost
-    /// device `shmem_signal`s), independent of `gpu_flag_faults`.
-    pub shmem_faults: Vec<(usize, EmissionFaultConfig)>,
-    /// Ranks whose symmetric-heap registration fails at world construction
-    /// (fault hook): their channels fall back to the Progression Engine
-    /// with a typed `ShmemError::RegistrationFailed`.
-    pub shmem_heap_fail: Vec<usize>,
 }
 
 impl WorldConfig {
@@ -195,16 +190,11 @@ impl WorldConfig {
             cost: CostModel::default(),
             mpi_overhead_us: 0.5,
             progress_poll_us: 0.5,
-            wait_watchdog_us: None,
-            net_faults: None,
-            pe_faults: Vec::new(),
-            gpu_flag_faults: Vec::new(),
+            faults: FaultPlan::none(),
             stripes: 1,
             recover: None,
             mechanism: CopyMechanism::ProgressionEngine,
             shmem_heap_bytes: 1 << 22,
-            shmem_faults: Vec::new(),
-            shmem_heap_fail: Vec::new(),
         }
     }
 }
@@ -248,7 +238,7 @@ impl MpiWorld {
         let fabric = Fabric::try_new(sim.handle(), config.cluster.clone())
             .map_err(crate::MpiError::InvalidTopology)?;
         let topology = fabric.topology();
-        if let Some(nf) = &config.net_faults {
+        if let Some(nf) = &config.faults.net {
             fabric.arm_faults(nf.clone());
         }
         let universe = UcxUniverse::new(fabric.clone());
@@ -257,7 +247,7 @@ impl MpiWorld {
         // are deterministic from this point and no rkey ever travels for
         // buffers bound into it.
         let shmem_heap =
-            SymmetricHeap::new(size, config.shmem_heap_bytes, &config.shmem_heap_fail);
+            SymmetricHeap::new(size, config.shmem_heap_bytes, &config.faults.shmem_heap_fail);
         Ok(MpiWorld {
             inner: Arc::new(WorldInner {
                 config,
@@ -390,6 +380,7 @@ pub struct Rank {
     gpu: Gpu,
     worker: Worker,
     progression: ProgressionEngine,
+    guard: Arc<WaitGuard>,
 }
 
 impl Rank {
@@ -400,47 +391,31 @@ impl Rank {
         if let Some(reg) = world.metrics_registry() {
             gpu.attach_metrics(&reg);
         }
-        if let Some((_, ef)) = world
-            .inner
-            .config
-            .gpu_flag_faults
-            .iter()
-            .find(|(r, _)| *r == rank)
+        let faults = &world.inner.config.faults;
+        for (kind, entries) in
+            [(EmissionKind::FlagWrite, &faults.flags), (EmissionKind::Shmem, &faults.shmem_signals)]
         {
-            gpu.arm_emission_faults(ef.clone());
-        }
-        if let Some((_, ef)) = world
-            .inner
-            .config
-            .shmem_faults
-            .iter()
-            .find(|(r, _)| *r == rank)
-        {
-            gpu.arm_shmem_signal_faults(ef.clone());
+            if let Some(ef) = rank_entry(entries, rank) {
+                gpu.arm_emission_faults(kind, ef.clone());
+            }
         }
         let worker = world
             .inner
             .universe
             .create_worker(Location { node: gpu_id.node, unit: Unit::Cpu });
         world.inner.addresses.lock()[rank] = Some(worker.address());
-        let pe_fault = world
-            .inner
-            .config
-            .pe_faults
-            .iter()
-            .find(|(r, _)| *r == rank)
-            .map(|(_, f)| f.clone());
         let progression = ProgressionEngine::start(
             ctx,
             rank,
             SimDuration::from_micros_f64(world.inner.config.progress_poll_us),
-            pe_fault,
+            rank_entry(&world.inner.config.faults.pe, rank).cloned(),
             world.instruments(),
         );
+        let guard = Arc::new(WaitGuard::new(rank, &world, &progression));
         // MPI_Init barrier: every rank's worker address is published before
         // anyone communicates.
         world.inner.start_barrier.wait(ctx);
-        Rank { world, rank, gpu, worker, progression }
+        Rank { world, rank, gpu, worker, progression, guard }
     }
 
     /// This rank's index in the world.
@@ -478,6 +453,12 @@ impl Rank {
         &self.progression
     }
 
+    /// The watchdog-and-recovery policy of this rank's blocking waits,
+    /// shared by every request it creates.
+    pub fn wait_guard(&self) -> &Arc<WaitGuard> {
+        &self.guard
+    }
+
     /// Worker address of a peer rank (available after MPI_Init).
     pub fn peer_address(&self, r: usize) -> WorkerAddress {
         self.world.worker_address_of(r)
@@ -486,24 +467,6 @@ impl Rank {
     /// Host software overhead per MPI call.
     pub fn mpi_overhead(&self) -> SimDuration {
         SimDuration::from_micros_f64(self.world.inner.config.mpi_overhead_us)
-    }
-
-    /// The epoch-recovery policy, if enabled. Blocking partitioned waits use
-    /// this to escalate a stalled epoch through lease check → replay → host
-    /// drain instead of timing out fatally.
-    pub fn recover_config(&self) -> Option<RecoverConfig> {
-        self.world.inner.config.recover.clone()
-    }
-
-    /// The armed wait-watchdog timeout, if any. Blocking MPI waits use this
-    /// to turn a stalled completion counter into a typed [`crate::MpiError`]
-    /// instead of deadlocking the simulation.
-    pub fn wait_watchdog(&self) -> Option<SimDuration> {
-        self.world
-            .inner
-            .config
-            .wait_watchdog_us
-            .map(SimDuration::from_micros_f64)
     }
 
     /// Synchronize all ranks (zero-cost alignment barrier used by the

@@ -316,7 +316,7 @@ fn heap_registration_failure_demotes_to_pe() {
             &sim,
             WorldConfig {
                 mechanism: CopyMechanism::Shmem,
-                shmem_heap_fail: vec![failed_rank],
+                faults: FaultPlan { shmem_heap_fail: vec![failed_rank], ..FaultPlan::none() },
                 ..WorldConfig::gh200(1)
             },
         );
@@ -419,10 +419,13 @@ fn delayed_shmem_signal_still_completes() {
         &sim,
         WorldConfig {
             mechanism: CopyMechanism::Shmem,
-            shmem_faults: vec![(
-                0,
-                EmissionFaultConfig { delay_every: 1, delay_us: 80.0, lose_every: 0 },
-            )],
+            faults: FaultPlan {
+                shmem_signals: vec![(
+                    0,
+                    EmissionFaultConfig { delay_every: 1, delay_us: 80.0, lose_every: 0 },
+                )],
+                ..FaultPlan::none()
+            },
             ..WorldConfig::gh200(1)
         },
     );
@@ -440,10 +443,13 @@ fn lost_shmem_signal_recovers_via_epoch_replay() {
         &sim,
         WorldConfig {
             mechanism: CopyMechanism::Shmem,
-            shmem_faults: vec![(
-                0,
-                EmissionFaultConfig { delay_every: 0, delay_us: 0.0, lose_every: 1 },
-            )],
+            faults: FaultPlan {
+                shmem_signals: vec![(
+                    0,
+                    EmissionFaultConfig { delay_every: 0, delay_us: 0.0, lose_every: 1 },
+                )],
+                ..FaultPlan::none()
+            },
             recover: Some(RecoverConfig { max_replays: 4, detect_us: 5_000.0, lease_us: 2_000.0 }),
             ..WorldConfig::gh200(1)
         },
