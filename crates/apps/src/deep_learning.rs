@@ -14,7 +14,7 @@
 //! - `Nccl` — BCE kernel → `ncclAllReduce` on the stream.
 
 use parcomm_coll::{pallreduce_init, Pallreduce};
-use parcomm_gpu::KernelSpec;
+use parcomm_gpu::{Buffer, KernelSpec};
 use parcomm_mpi::{MpiError, Rank};
 use parcomm_nccl::{NcclComm, NcclConfig};
 use parcomm_sim::{Ctx, SimDuration};
@@ -57,17 +57,23 @@ pub struct DlResult {
     pub loss: f64,
 }
 
-/// The BCE forward+backward: predictions come from a logistic activation;
-/// the gradient of the loss w.r.t. the activation input is `(p - y) / n`.
-fn bce_gradient(pred: &[f64], target: &[f64], grad: &mut [f64]) -> f64 {
-    let n = pred.len() as f64;
-    let mut loss = 0.0;
-    for ((g, p), y) in grad.iter_mut().zip(pred).zip(target) {
-        let p = p.clamp(1e-7, 1.0 - 1e-7);
-        loss -= y * p.ln() + (1.0 - y) * (1.0 - p).ln();
-        *g = (p - y) / n;
-    }
-    loss / n
+/// The BCE forward+backward for one of `n` elements: the prediction `p`
+/// comes from a logistic activation (clamped away from 0 and 1) and `y` is
+/// its label. Returns the element's loss term and the gradient of the mean
+/// loss w.r.t. the activation input, `(p - y) / n`.
+fn bce(p: f64, y: f64, n: f64) -> (f64, f64) {
+    let p = p.clamp(1e-7, 1.0 - 1e-7);
+    (-(y * p.ln() + (1.0 - y) * (1.0 - p).ln()), (p - y) / n)
+}
+
+/// The BCE kernel body: `grad[i]` from `pred[i]` and `target[i]` over the
+/// `n` elements, in place.
+fn bce_kernel(pred: &Buffer, target: &Buffer, grad: &Buffer, n: usize) {
+    grad.with_f64_from(pred, |mut g, p| {
+        target.with_f64(|t| {
+            g.write(0, p.iter(0, n).zip(t.iter(0, n)).map(|(p, y)| bce(p, y, n as f64).1));
+        })
+    });
 }
 
 /// The BCE kernel's launch geometry for `elements` gradient entries.
@@ -127,11 +133,7 @@ pub fn run_dl(
                 let functional = cfg.functional;
                 stream.launch(ctx, bce_spec(n), move |_d| {
                     if functional {
-                        let p = p2.read_f64_slice(0, n);
-                        let t = t2.read_f64_slice(0, n);
-                        let mut g = vec![0.0; n];
-                        bce_gradient(&p, &t, &mut g);
-                        g2.write_f64_slice(0, &g);
+                        bce_kernel(&p2, &t2, &g2, n);
                     }
                 });
                 stream.synchronize(ctx);
@@ -148,11 +150,7 @@ pub fn run_dl(
                 let coll2 = coll.clone();
                 stream.launch(ctx, bce_spec(n), move |d| {
                     if functional {
-                        let p = p2.read_f64_slice(0, n);
-                        let t = t2.read_f64_slice(0, n);
-                        let mut g = vec![0.0; n];
-                        bce_gradient(&p, &t, &mut g);
-                        g2.write_f64_slice(0, &g);
+                        bce_kernel(&p2, &t2, &g2, n);
                     }
                     coll2.pready_device_all(d);
                 });
@@ -164,11 +162,7 @@ pub fn run_dl(
                 let functional = cfg.functional;
                 stream.launch(ctx, bce_spec(n), move |_d| {
                     if functional {
-                        let p = p2.read_f64_slice(0, n);
-                        let t = t2.read_f64_slice(0, n);
-                        let mut g = vec![0.0; n];
-                        bce_gradient(&p, &t, &mut g);
-                        g2.write_f64_slice(0, &g);
+                        bce_kernel(&p2, &t2, &g2, n);
                     }
                 });
                 let done = comm.all_reduce_f64(ctx, rank.rank(), &grad, 0, n, &stream);
@@ -193,27 +187,39 @@ pub fn nccl_for_world(world: &parcomm_mpi::MpiWorld) -> NcclComm {
 
 #[cfg(test)]
 mod tests {
-    use super::bce_gradient;
+    use super::{bce, bce_kernel};
+    use parcomm_gpu::{Buffer, MemSpace};
 
     #[test]
     fn bce_gradient_signs_and_loss() {
-        let pred = [0.9, 0.1, 0.5];
-        let target = [1.0, 0.0, 1.0];
-        let mut grad = [0.0; 3];
-        let loss = bce_gradient(&pred, &target, &mut grad);
+        let terms = [(0.9, 1.0), (0.1, 0.0), (0.5, 1.0)].map(|(p, y)| bce(p, y, 3.0));
+        let loss: f64 = terms.iter().map(|t| t.0).sum::<f64>() / 3.0;
         assert!(loss > 0.0);
-        assert!(grad[0] < 0.0, "confident-correct positive: push up");
-        assert!(grad[1] > 0.0, "confident-correct negative: push down");
-        assert!(grad[2] < 0.0);
+        assert!(terms[0].1 < 0.0, "confident-correct positive: push up");
+        assert!(terms[1].1 > 0.0, "confident-correct negative: push down");
+        assert!(terms[2].1 < 0.0);
     }
 
     #[test]
     fn bce_gradient_is_clamped() {
-        let pred = [0.0, 1.0];
-        let target = [1.0, 0.0];
-        let mut grad = [0.0; 2];
-        let loss = bce_gradient(&pred, &target, &mut grad);
-        assert!(loss.is_finite());
-        assert!(grad.iter().all(|g| g.is_finite()));
+        for (p, y) in [(0.0, 1.0), (1.0, 0.0)] {
+            let (loss, grad) = bce(p, y, 2.0);
+            assert!(loss.is_finite());
+            assert!(grad.is_finite());
+        }
+    }
+
+    #[test]
+    fn bce_kernel_writes_each_element_gradient() {
+        let n = 5;
+        let buf = || Buffer::alloc(MemSpace::Host { node: 0 }, n * 8);
+        let (pred, target, grad) = (buf(), buf(), buf());
+        let p = [0.0, 0.2, 0.5, 0.8, 1.0];
+        let y = [1.0, 0.0, 1.0, 1.0, 0.0];
+        pred.write_f64_slice(0, &p);
+        target.write_f64_slice(0, &y);
+        bce_kernel(&pred, &target, &grad, n);
+        let want: Vec<f64> = p.iter().zip(&y).map(|(&p, &y)| bce(p, y, n as f64).1).collect();
+        assert_eq!(grad.read_f64_slice(0, n), want);
     }
 }

@@ -376,16 +376,16 @@ pub fn run_jacobi(ctx: &mut Ctx, rank: &Rank, cfg: &JacobiConfig) -> Result<Jaco
 /// One 5-point Jacobi sweep: `next = 0.25·(N + S + W + E)` over the
 /// interior, reading `cur`.
 fn stencil(cur: &Buffer, next: &Buffer, th: usize, tw: usize, pitch: usize) {
-    for i in 1..=th {
-        let up = cur.read_f64_slice(((i - 1) * pitch + 1) * 8, tw);
-        let mid = cur.read_f64_slice((i * pitch) * 8, tw + 2);
-        let down = cur.read_f64_slice(((i + 1) * pitch + 1) * 8, tw);
-        let mut out = vec![0.0f64; tw];
-        for j in 0..tw {
-            out[j] = 0.25 * (up[j] + down[j] + mid[j] + mid[j + 2]);
+    next.with_f64_from(cur, |mut out, cur| {
+        for i in 1..=th {
+            let up = cur.iter(((i - 1) * pitch + 1) * 8, tw);
+            let down = cur.iter(((i + 1) * pitch + 1) * 8, tw);
+            let west = cur.iter((i * pitch) * 8, tw);
+            let east = cur.iter((i * pitch + 2) * 8, tw);
+            let row = up.zip(down).zip(west).zip(east);
+            out.write((i * pitch + 1) * 8, row.map(|(((u, d), w), e)| 0.25 * (u + d + w + e)));
         }
-        next.write_f64_slice((i * pitch + 1) * 8, &out);
-    }
+    });
 }
 
 /// Pack the four interior edges of `field` into the per-direction send
@@ -399,45 +399,49 @@ fn pack_halos(
 ) {
     if let Some((buf, len, _)) = &halos[0] {
         debug_assert_eq!(*len, tw);
-        let row = field.read_f64_slice((pitch + 1) * 8, tw);
-        buf.write_f64_slice(0, &row);
+        buf.with_f64_from(field, |mut h, f| h.write(0, f.iter((pitch + 1) * 8, tw)));
     }
     if let Some((buf, len, _)) = &halos[1] {
         debug_assert_eq!(*len, tw);
-        let row = field.read_f64_slice((th * pitch + 1) * 8, tw);
-        buf.write_f64_slice(0, &row);
+        buf.with_f64_from(field, |mut h, f| h.write(0, f.iter((th * pitch + 1) * 8, tw)));
     }
     if let Some((buf, len, _)) = &halos[2] {
         debug_assert_eq!(*len, th);
-        let col: Vec<f64> = (1..=th).map(|i| field.read_f64((i * pitch + 1) * 8)).collect();
-        buf.write_f64_slice(0, &col);
+        // `1..th + 1`, not `1..=th`: `write` takes an exact-size iterator.
+        buf.with_f64_from(field, |mut h, f| {
+            h.write(0, (1..th + 1).map(|i| f.get((i * pitch + 1) * 8)))
+        });
     }
     if let Some((buf, len, _)) = &halos[3] {
         debug_assert_eq!(*len, th);
-        let col: Vec<f64> = (1..=th).map(|i| field.read_f64((i * pitch + tw) * 8)).collect();
-        buf.write_f64_slice(0, &col);
+        buf.with_f64_from(field, |mut h, f| {
+            h.write(0, (1..th + 1).map(|i| f.get((i * pitch + tw) * 8)))
+        });
     }
 }
 
 /// Scatter received halo buffers into the ghost ring of `field`.
 fn unpack_halos(field: &Buffer, halos: &[Option<Halo>], th: usize, tw: usize, pitch: usize) {
     if let Some(h) = &halos[0] {
-        let row = h.recv.read_f64_slice(0, tw);
-        field.write_f64_slice(8, &row[..]); // ghost row 0, cols 1..=tw
+        // Ghost row 0, cols 1..=tw.
+        field.with_f64_from(&h.recv, |mut f, r| f.write(8, r.iter(0, tw)));
     }
     if let Some(h) = &halos[1] {
-        let row = h.recv.read_f64_slice(0, tw);
-        field.write_f64_slice(((th + 1) * pitch + 1) * 8, &row[..]);
+        field.with_f64_from(&h.recv, |mut f, r| f.write(((th + 1) * pitch + 1) * 8, r.iter(0, tw)));
     }
     if let Some(h) = &halos[2] {
-        for i in 1..=th {
-            field.write_f64((i * pitch) * 8, h.recv.read_f64((i - 1) * 8));
-        }
+        field.with_f64_from(&h.recv, |mut f, r| {
+            for i in 1..=th {
+                f.set((i * pitch) * 8, r.get((i - 1) * 8));
+            }
+        });
     }
     if let Some(h) = &halos[3] {
-        for i in 1..=th {
-            field.write_f64((i * pitch + tw + 1) * 8, h.recv.read_f64((i - 1) * 8));
-        }
+        field.with_f64_from(&h.recv, |mut f, r| {
+            for i in 1..=th {
+                f.set((i * pitch + tw + 1) * 8, r.get((i - 1) * 8));
+            }
+        });
     }
 }
 

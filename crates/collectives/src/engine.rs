@@ -39,8 +39,6 @@ const NO_ENTRY: u32 = u32::MAX;
 
 /// A send channel to one neighbor, serving a set of schedule steps.
 struct SendChannel {
-    /// The neighbor rank this channel reaches.
-    peer: usize,
     sreq: PsendRequest,
     stage: Buffer,
     /// Schedule steps this channel carries, in order; the slot for
@@ -53,7 +51,6 @@ struct SendChannel {
 
 /// A receive channel from one neighbor.
 struct RecvChannel {
-    peer: usize,
     rreq: PrecvRequest,
     stage: Buffer,
     steps: Vec<usize>,
@@ -189,7 +186,7 @@ impl CollectiveEngine {
             }
             let slot_of_step = slot_index(&steps);
             send_of_peer[o] = send.len() as u32;
-            send.push(SendChannel { peer: o, sreq, stage, steps, slot_of_step });
+            send.push(SendChannel { sreq, stage, steps, slot_of_step });
         }
         let mut recv = Vec::with_capacity(in_steps.len());
         let mut recv_of_peer = vec![NO_ENTRY; world_size];
@@ -202,7 +199,7 @@ impl CollectiveEngine {
             let rreq = precv_init(ctx, rank, inc, tag, &stage, slots)?;
             let slot_of_step = slot_index(&steps);
             recv_of_peer[inc] = recv.len() as u32;
-            recv.push(RecvChannel { peer: inc, rreq, stage, steps, slot_of_step });
+            recv.push(RecvChannel { rreq, stage, steps, slot_of_step });
         }
 
         let states = (0..user_partitions)
@@ -631,22 +628,6 @@ impl CollectiveEngine {
             completed,
             expected: self.inner.user_partitions as u64,
             timeout_us,
-        }
-    }
-
-    /// Debug helper: print each channel's staging contents (first f64 per
-    /// slot). Test-support only.
-    #[doc(hidden)]
-    pub fn debug_dump_stages(&self, me: usize) {
-        for ch in &self.inner.send {
-            let v: Vec<f64> =
-                (0..ch.steps.len()).map(|j| ch.stage.read_f64(j * self.inner.chunk_bytes)).collect();
-            println!("rank {me}: send→{} steps {:?} stage {v:?}", ch.peer, ch.steps);
-        }
-        for ch in &self.inner.recv {
-            let v: Vec<f64> =
-                (0..ch.steps.len()).map(|j| ch.stage.read_f64(j * self.inner.chunk_bytes)).collect();
-            println!("rank {me}: recv←{} steps {:?} stage {v:?}", ch.peer, ch.steps);
         }
     }
 

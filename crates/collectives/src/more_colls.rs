@@ -179,12 +179,6 @@ pub fn palltoall_init(
 
 impl Palltoall {
     collective_common!();
-
-    /// Debug helper (hidden): dump channel staging.
-    #[doc(hidden)]
-    pub fn debug_dump_stages(&self, me: usize) {
-        self.engine.debug_dump_stages(me);
-    }
 }
 
 /// Partitioned chain scatter: the root's chunk `r` reaches rank `r`.

@@ -188,8 +188,10 @@ impl Workload {
 
 /// The topology-shape axis: the same fault class meeting a *ragged* or
 /// *oversubscribed* world exercises rank↔GPU table walks, per-node rail
-/// cycling, fold/unfold collective phases, and `SameGpu` routes that no
-/// uniform world reaches.
+/// cycling, and `SameGpu` routes that no uniform world reaches. The
+/// allreduce cell runs the flat `pallreduce_init` schedule on every shape,
+/// so no shape reaches the hierarchical fold/unfold phases; those are
+/// pinned only by the ragged digests in `tests/topology.rs`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum TopologyShape {
     /// The classic `nodes × 4 GPU × 4 NIC` GH200 testbed.
@@ -198,7 +200,7 @@ pub enum TopologyShape {
     /// one rank per GPU.
     Ragged,
     /// The ragged shape at 2:1 ranks per GPU: co-resident ranks drive the
-    /// `SameGpu` route regime and the hierarchical fold/unfold phases.
+    /// `SameGpu` route regime and per-node rail cycling.
     Oversubscribed,
 }
 

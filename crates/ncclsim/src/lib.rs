@@ -175,16 +175,19 @@ impl NcclComm {
         for (_, _, _, n_i, _) in &op.participants {
             assert_eq!(*n_i, n, "ncclAllReduce: element counts differ across ranks");
         }
-        // Functional: elementwise sum of all contributions, written back to
-        // every rank (never visible before `done` fires).
-        let mut acc = vec![0.0f64; n];
-        for (_, buf, off, _, _) in &op.participants {
-            for (a, v) in acc.iter_mut().zip(buf.read_f64_slice(*off, n)) {
-                *a += v;
-            }
+        // Functional: elementwise sum of all contributions, accumulated in
+        // place in the first participant's buffer as `0.0 + v0 + v1 + ...`
+        // in arrival order (the leading `0.0 +` makes a −0.0 sum +0.0, as a
+        // zero-initialised sum does), then copied to every other rank
+        // (never visible before `done` fires).
+        let ((_, acc, acc_off, _, _), rest) =
+            op.participants.split_first().expect("non-empty participants");
+        acc.map_f64_inplace(*acc_off, n, |v| 0.0 + v);
+        for (_, buf, off, _, _) in rest {
+            acc.accumulate_f64(*acc_off, buf, *off, n);
         }
-        for (_, buf, off, _, _) in &op.participants {
-            buf.write_f64_slice(*off, &acc);
+        for (_, buf, off, _, _) in rest {
+            buf.copy_from_buffer(*off, acc, *acc_off, n * 8);
         }
         let dur = self.allreduce_duration((n * 8) as u64);
         let done = op.done;

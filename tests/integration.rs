@@ -232,3 +232,63 @@ fn facade_reexports_are_usable() {
     assert_eq!(spec.total_gpus(), 8);
     drop(sim);
 }
+
+/// Every rank's Jacobi checksum equals its own tile of the serial solve,
+/// bit for bit, summed row by row as `run_jacobi` sums it. The tile is odd
+/// and not square, so a transposed or shifted column halo lands in the
+/// wrong cells. The solve runs far longer than a tile is high, so heat
+/// crosses every tile boundary, and long enough that cell values need more
+/// than 53 mantissa bits: `to_bits` equality then catches a reassociated
+/// stencil, which a summed, tolerance-compared checksum would forgive.
+#[test]
+fn jacobi_rank_checksums_match_serial_tiles_bit_for_bit() {
+    use parcomm::apps::{jacobi_reference, process_grid, run_jacobi, JacobiConfig, JacobiModel};
+
+    const NODES: u16 = 2;
+    const TILE_H: usize = 3;
+    const TILE_W: usize = 37;
+    const ITERATIONS: usize = 40;
+    let models = [
+        JacobiModel::Traditional,
+        JacobiModel::Partitioned(CopyMechanism::ProgressionEngine),
+        JacobiModel::Partitioned(CopyMechanism::KernelCopy),
+    ];
+    for model in models {
+        let mut sim = Simulation::new(SimConfig::default());
+        let world = MpiWorld::gh200(&sim, NODES);
+        let size = world.size();
+        let sums = Arc::new(Mutex::new(vec![f64::NAN; size]));
+        let s2 = sums.clone();
+        world.run_ranks(&mut sim, move |ctx, rank| {
+            let cfg = JacobiConfig {
+                base_h: TILE_H,
+                base_w: TILE_W,
+                iterations: ITERATIONS,
+                ..JacobiConfig::functional_test(model)
+            };
+            let result = run_jacobi(ctx, rank, &cfg).expect("run_jacobi");
+            s2.lock()[rank.rank()] = result.checksum;
+        });
+        sim.run().expect("jacobi sim");
+
+        let (px, py) = process_grid(size);
+        assert_eq!((px, py), (4, 2));
+        let field = jacobi_reference(TILE_H * py, TILE_W * px, ITERATIONS);
+        let pitch = TILE_W * px + 2;
+        for (r, got) in sums.lock().iter().enumerate() {
+            let (cx, cy) = (r % px, r / px);
+            let want: f64 = (1..=TILE_H)
+                .map(|i| {
+                    let row = (cy * TILE_H + i) * pitch + cx * TILE_W + 1;
+                    field[row..row + TILE_W].iter().sum::<f64>()
+                })
+                .sum();
+            assert!(want > 0.0, "rank {r}: heat must reach every tile");
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "{model:?} rank {r}: checksum {got:e} vs serial tile {want:e}"
+            );
+        }
+    }
+}

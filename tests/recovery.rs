@@ -343,11 +343,12 @@ fn chaos_contract_holds_under_multiplexed_channel_load() {
 }
 
 /// Acceptance: the topology-shape axis. The guided campaign on the
-/// oversubscribed shape (4,2 GPUs / 2,1 NICs at 2:1 ranks per GPU — the
-/// fold/unfold hierarchical schedule, `SameGpu` routes, and per-node rail
-/// cycling all live) upholds the recovery contract, and every covered
-/// point carries the `oversub:` qualifier so the axis genuinely grows the
-/// point space. Failures, were any bisected, would carry the `--topology`
+/// oversubscribed shape (4,2 GPUs / 2,1 NICs at 2:1 ranks per GPU —
+/// `SameGpu` routes and per-node rail cycling live; the allreduce cell is
+/// the flat schedule, so the hierarchical fold/unfold phases do not)
+/// upholds the recovery contract, and every covered point carries the
+/// `oversub:` qualifier so the axis genuinely grows the point space.
+/// Failures, were any bisected, would carry the `--topology`
 /// spec in their artifacts.
 #[test]
 fn chaos_contract_holds_on_oversubscribed_shape() {
